@@ -16,7 +16,7 @@ from .matrix import (UNDECIDED, ComparisonReport, ConcurrencyMatrix,
                      read_matrix, write_matrix)
 from .ptnet import (Marking, PetriNet, ReachabilitySet, explore_reachable,
                     fire_transition, oracle_matrix)
-from .reductions import ReductionResult, reduce_net, reduction_ratio
+from .reductions import ReductionResult, reduce_net
 from .tfg import (Configuration, ConstantNode, Equation, EquationSystem,
                   TokenFlowGraph, build_tfg, check_configuration,
                   find_marked_root, parse_equation_system, propagate_token,
@@ -29,7 +29,7 @@ __all__ = [
     "PetriNet", "Marking", "ReachabilitySet",
     "fire_transition", "explore_reachable", "oracle_matrix",
     "NetDocument", "parse_pnml", "parse_net_text", "write_net_text", "load_net",
-    "ReductionResult", "reduce_net", "reduction_ratio",
+    "ReductionResult", "reduce_net",
     "Equation", "EquationSystem", "parse_equation_system",
     "write_equation_system", "TokenFlowGraph", "ConstantNode", "build_tfg",
     "successors", "Configuration", "check_configuration", "propagate_token",

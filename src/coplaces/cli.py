@@ -9,8 +9,7 @@ computes the ground truth, `compare` diffs two matrix files and
 Exit codes: 0 success, 1 usage, 2 unreadable input, 3 well-formedness or
 safety violation, 4 matrix contradiction, 5 timeout without usable output.
 Diagnostics go to standard error; results go to standard output or to the
-requested file, written atomically. The COPLACES_THREADS environment
-variable bounds the worker count of the exploration-based oracle fill.
+requested file, written atomically.
 """
 
 from __future__ import annotations
@@ -19,13 +18,12 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .errors import (AnalysisError, CoplacesError, InputFormatError,
                      IncompleteRootRelation)
-from .formats import load_net, write_net_text
+from .formats import load_net, read_text, write_net_text
 from .kernel import RootRelation, matrix_complete, matrix_partial
 from .matrix import (MatrixDocument, compare_matrices, read_matrix,
                      write_matrix)
@@ -40,34 +38,9 @@ EXIT_ANALYSIS = 3
 EXIT_CONTRADICTION = 4
 EXIT_TIMEOUT = 5
 
-THREADS_ENV = "COPLACES_THREADS"
-
 
 class _TimeoutNoOutput(CoplacesError):
     """Exploration timed out and the requested mode has nothing to emit."""
-
-
-@dataclass
-class RunConfig:
-    """Validated knobs of one invocation."""
-
-    command: str
-    inputs: tuple[str, ...]
-    output: str | None
-    timeout: float
-    cap: int
-    encoding: str
-    partial: bool
-    rel2_source: str | None          # 'oracle' | 'file' | None
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.cap < 1:
-            raise ValueError("state cap must be at least 1")
-        if self.threads < 1:
-            raise ValueError("worker count must be at least 1")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,17 +50,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ValueError(f"{THREADS_ENV} must be at least 1")
-    return threads
+def _positive(convert):
+    """Argument type: a value of `convert`'s type that is greater than 0."""
+    def positive(text: str):
+        value = convert(text)
+        if not value > 0:                 # also rejects nan
+            raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+        return value
+    positive.__name__ = convert.__name__  # argparse names it in errors
+    return positive
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -107,28 +78,6 @@ def _write_output(text: str, output: str | None) -> None:
         raise
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    rel2_source = None
-    if getattr(args, "oracle", False):
-        rel2_source = "oracle"
-    elif getattr(args, "rel2", None):
-        rel2_source = "file"
-    return RunConfig(
-        command=args.command,
-        inputs=tuple(getattr(args, name) for name in ("net", "net1", "net2",
-                                                      "equations", "m1", "m2",
-                                                      "eqs")
-                     if getattr(args, name, None)),
-        output=getattr(args, "output", None),
-        timeout=getattr(args, "timeout", DEFAULT_TIME_BUDGET),
-        cap=getattr(args, "cap", DEFAULT_STATE_CAP),
-        encoding="rle" if getattr(args, "rle", False) else "plain",
-        partial=getattr(args, "partial", False),
-        rel2_source=rel2_source,
-        threads=_threads_from_env(),
-    )
-
-
 def _matrix_text(matrix, order, encoding: str) -> str:
     return write_matrix(MatrixDocument(tuple(order), matrix.restrict(order),
                                        encoding))
@@ -137,7 +86,6 @@ def _matrix_text(matrix, order, encoding: str) -> str:
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_reduce(args) -> int:
-    config = _config(args)
     doc = load_net(args.net)
     result = reduce_net(doc)
     stem = Path(args.net).stem
@@ -152,44 +100,37 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _oracle_doc_matrix(doc, config: RunConfig):
-    return oracle_matrix(doc.net, doc.initial, cap=config.cap,
-                         budget=config.timeout, threads=config.threads)
-
-
 def _cmd_matrix(args) -> int:
-    config = _config(args)
     doc1 = load_net(args.net1)
 
     if not args.equations:
-        matrix = _oracle_doc_matrix(doc1, config)
-        if not matrix.complete and not config.partial:
+        matrix = oracle_matrix(doc1.net, doc1.initial, cap=args.cap,
+                               budget=args.timeout)
+        if not matrix.complete and not args.partial:
             raise _TimeoutNoOutput(
                 "exploration hit the cap or the time budget; rerun with"
                 " --partial for a sound partial matrix")
-        _write_output(_matrix_text(matrix, doc1.net.places, config.encoding),
-                      config.output)
+        _write_output(_matrix_text(matrix, doc1.net.places, args.encoding),
+                      args.output)
         return EXIT_OK
 
     doc2 = load_net(args.reduced)
-    with open(args.equations, encoding="utf-8") as handle:
-        system = parse_equation_system(handle.read())
+    system = parse_equation_system(read_text(args.equations))
     tfg = build_tfg(system, doc1.net.places, doc2.net.places)
     for warning in tfg.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    if config.rel2_source == "file":
-        with open(args.rel2, encoding="utf-8") as handle:
-            rel2 = RootRelation.from_reduced_matrix(tfg, read_matrix(handle.read()))
+    if args.rel2:
+        rel2 = RootRelation.from_reduced_matrix(
+            tfg, read_matrix(read_text(args.rel2)))
     else:
-        rel2 = RootRelation.exact(tfg, doc2, cap=config.cap,
-                                  budget=config.timeout,
-                                  threads=config.threads)
+        rel2 = RootRelation.exact(tfg, doc2, cap=args.cap,
+                                  budget=args.timeout)
 
-    if config.partial:
+    if args.partial:
         matrix = matrix_partial(tfg, rel2)
     elif not rel2.complete:
-        if config.rel2_source == "oracle":
+        if args.oracle:
             raise _TimeoutNoOutput(
                 "residual exploration hit the cap or the time budget and"
                 " the root relation is partial; rerun with --partial")
@@ -197,28 +138,26 @@ def _cmd_matrix(args) -> int:
             "the root relation file has undecided cells; use --partial")
     else:
         matrix = matrix_complete(tfg, rel2)
-    _write_output(_matrix_text(matrix, doc1.net.places, config.encoding),
-                  config.output)
+    _write_output(_matrix_text(matrix, doc1.net.places, args.encoding),
+                  args.output)
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    config = _config(args)
     doc = load_net(args.net)
-    matrix = _oracle_doc_matrix(doc, config)
+    matrix = oracle_matrix(doc.net, doc.initial, cap=args.cap,
+                           budget=args.timeout)
     if not matrix.complete:
         print("warning: exploration truncated, matrix is partial",
               file=sys.stderr)
-    _write_output(_matrix_text(matrix, doc.net.places, config.encoding),
-                  config.output)
+    _write_output(_matrix_text(matrix, doc.net.places, args.encoding),
+                  args.output)
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    with open(args.m1, encoding="utf-8") as handle:
-        a = read_matrix(handle.read())
-    with open(args.m2, encoding="utf-8") as handle:
-        b = read_matrix(handle.read())
+    a = read_matrix(read_text(args.m1))
+    b = read_matrix(read_text(args.m2))
     report = compare_matrices(a, b)
     sys.stdout.write(f"{report}\n")
     return EXIT_CONTRADICTION if report.kind == "contradiction" else EXIT_OK
@@ -227,8 +166,7 @@ def _cmd_compare(args) -> int:
 def _cmd_check_tfg(args) -> int:
     doc1 = load_net(args.net1)
     doc2 = load_net(args.net2)
-    with open(args.eqs, encoding="utf-8") as handle:
-        system = parse_equation_system(handle.read())
+    system = parse_equation_system(read_text(args.eqs))
     tfg = build_tfg(system, doc1.net.places, doc2.net.places)
     for warning in tfg.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -245,10 +183,11 @@ def _build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     def add_budget_flags(sub):
-        sub.add_argument("--timeout", type=float, default=DEFAULT_TIME_BUDGET,
+        sub.add_argument("--timeout", type=_positive(float),
+                         default=DEFAULT_TIME_BUDGET,
                          metavar="S", help="exploration wall-clock budget"
                                            " in seconds (default 60)")
-        sub.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP,
+        sub.add_argument("--cap", type=_positive(int), default=DEFAULT_STATE_CAP,
                          metavar="K", help="exploration state cap"
                                            " (default 1000000)")
 
@@ -275,7 +214,8 @@ def _build_parser() -> _Parser:
     sub.add_argument("--partial", action="store_true",
                      help="accept a partial root relation and emit a sound"
                           " partial matrix")
-    sub.add_argument("--rle", action="store_true",
+    sub.add_argument("--rle", dest="encoding", action="store_const",
+                     const="rle", default="plain",
                      help="run-length encode matrix rows")
     sub.add_argument("-o", "--output", metavar="FILE")
     add_budget_flags(sub)
@@ -284,7 +224,8 @@ def _build_parser() -> _Parser:
     sub = commands.add_parser("oracle",
                               help="ground-truth matrix by state exploration")
     sub.add_argument("net")
-    sub.add_argument("--rle", action="store_true")
+    sub.add_argument("--rle", dest="encoding", action="store_const",
+                     const="rle", default="plain")
     sub.add_argument("-o", "--output", metavar="FILE")
     add_budget_flags(sub)
     sub.set_defaults(func=_cmd_oracle)

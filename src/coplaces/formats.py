@@ -25,8 +25,8 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
-from .errors import (DuplicateId, MalformedNet, NetSyntaxError, UnknownPlace,
-                     UnsupportedNet)
+from .errors import (DuplicateId, InputFormatError, MalformedNet,
+                     NetSyntaxError, UnknownPlace, UnsupportedNet)
 from .ptnet import Marking, PetriNet
 
 
@@ -294,6 +294,20 @@ def parse_pnml(data) -> NetDocument:
                        source_format="pnml")
 
 
+def _decode(data: bytes, path) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text"
+                               f" (byte {exc.start})") from None
+
+
+def read_text(path) -> str:
+    """Read a UTF-8 text file; undecodable bytes are an input format error."""
+    with open(path, "rb") as handle:
+        return _decode(handle.read(), path)
+
+
 def load_net(path) -> NetDocument:
     """Load a net file, sniffing PNML versus the textual format."""
     with open(path, "rb") as handle:
@@ -301,4 +315,4 @@ def load_net(path) -> NetDocument:
     head = data.lstrip()[:6]
     if head.startswith(b"<"):
         return parse_pnml(data)
-    return parse_net_text(data.decode("utf-8"))
+    return parse_net_text(_decode(data, path))

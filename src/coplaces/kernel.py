@@ -118,7 +118,7 @@ class RootRelation:
                 return 1 if root.value == 1 else 0
             return cells.value(root, root)
 
-        for k in tfg.constants:
+        for k in (r for r in tfg.roots if isinstance(r, ConstantNode)):
             if k.value == 0:
                 for b in tfg.roots:
                     cells.set_value(k, b, 0)
@@ -133,11 +133,10 @@ class RootRelation:
     @classmethod
     def exact(cls, tfg: TokenFlowGraph, residual: NetDocument,
               cap: int = DEFAULT_STATE_CAP,
-              budget: float | None = DEFAULT_TIME_BUDGET,
-              threads: int = 1) -> "RootRelation":
+              budget: float | None = DEFAULT_TIME_BUDGET) -> "RootRelation":
         """Compute the root relation from the residual net by exploration."""
         matrix = oracle_matrix(residual.net, residual.initial,
-                               cap=cap, budget=budget, threads=threads)
+                               cap=cap, budget=budget)
         return cls.from_reduced_matrix(tfg, matrix)
 
 
@@ -179,11 +178,8 @@ def propagate_node(tfg: TokenFlowGraph, matrix: ConcurrencyMatrix, v: Node,
         for child in tfg.a_group_of.get(node, ()):
             succs |= memo[child]
         for target in tfg.r_targets_of.get(node, ()):
-            succr = memo[target]
-            for x in succs:
-                for y in succr:
-                    matrix.set_value(x, y, 1)
-            succs |= succr
+            _cross(matrix, succs, memo[target])
+            succs |= memo[target]
         memo[node] = frozenset(succs)
     return memo[v]
 
@@ -193,6 +189,19 @@ def _cross(matrix: ConcurrencyMatrix, left: Iterable[Node],
     for x in left:
         for y in right:
             matrix.set_value(x, y, 1)
+
+
+def _propagate_roots(tfg: TokenFlowGraph, rel2: RootRelation,
+                     matrix: ConcurrencyMatrix,
+                     stats: Optional[PropagationStats] = None) -> None:
+    """Flood every live root, then relate the cones of concurrent root pairs."""
+    memo: dict[Node, frozenset[Node]] = {}
+    live = [r for r in tfg.roots if rel2.value(r, r) == 1]
+    cones = {r: propagate_node(tfg, matrix, r, memo, stats) for r in live}
+    for i, v in enumerate(live):
+        for w in live[:i]:
+            if rel2.value(v, w) == 1:
+                _cross(matrix, cones[v], cones[w])
 
 
 def matrix_complete(tfg: TokenFlowGraph, rel2: RootRelation,
@@ -208,13 +217,7 @@ def matrix_complete(tfg: TokenFlowGraph, rel2: RootRelation,
         raise IncompleteRootRelation(
             "complete mode needs a fully decided root relation")
     matrix = ConcurrencyMatrix(tfg.nodes, fill=0)
-    memo: dict[Node, frozenset[Node]] = {}
-    live = [r for r in tfg.roots if rel2.value(r, r) == 1]
-    cones = {r: propagate_node(tfg, matrix, r, memo, stats) for r in live}
-    for i, v in enumerate(live):
-        for w in live[:i]:
-            if rel2.value(v, w) == 1:
-                _cross(matrix, cones[v], cones[w])
+    _propagate_roots(tfg, rel2, matrix, stats)
     return matrix
 
 
@@ -235,16 +238,8 @@ def matrix_partial(tfg: TokenFlowGraph, rel2: RootRelation,
             value = rel2.value(a, b)
             if value != UNDECIDED:
                 matrix.set_value(a, b, value)
+    _propagate_roots(tfg, rel2, matrix)
 
-    memo: dict[Node, frozenset[Node]] = {}
-    live = [r for r in roots if rel2.value(r, r) == 1]
-    cones = {r: propagate_node(tfg, matrix, r, memo) for r in live}
-    for i, v in enumerate(live):
-        for w in live[:i]:
-            if rel2.value(v, w) == 1:
-                _cross(matrix, cones[v], cones[w])
-
-    index = tfg.index
     queue: deque[tuple[Node, Node]] = deque()
 
     def set_zero(a: Node, b: Node) -> None:

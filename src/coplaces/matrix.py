@@ -200,10 +200,18 @@ def _decode_row_rle(text: str, row: int) -> str:
         if match is None:
             raise BadSymbol(row, length)
         if match.group(1) is not None:
-            parts.append(match.group(2) * int(match.group(1)))
+            digits = match.group(1).lstrip("0")
+            # int() refuses counts of thousands of digits; no row needs them
+            if len(digits) > len(str(row + 1)):
+                raise RowLengthMismatch(row)
+            count, symbol = int(digits or "0"), match.group(2)
         else:
-            parts.append(match.group(3))
-        length = sum(map(len, parts))
+            count, symbol = 1, match.group(3)
+        # bound the run before expanding it: row i holds i + 1 cells
+        if count > row + 1 - length:
+            raise RowLengthMismatch(row)
+        parts.append(symbol * count)
+        length += count
         pos = match.end()
     return "".join(parts)
 

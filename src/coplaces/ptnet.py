@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Mapping, Optional
 
 from .errors import NotEnabled, NotSafe, UnknownTransition
@@ -268,44 +267,27 @@ def explore_reachable(net: PetriNet, m0: Marking,
     return ReachabilitySet(net.places, order, safe=True, truncated=truncated)
 
 
-def _mark_pairs(matrix: ConcurrencyMatrix, masks: Iterable[int]) -> None:
-    for mask in masks:
-        indices = []
-        m = mask
-        while m:
-            low = m & -m
-            indices.append(low.bit_length() - 1)
-            m ^= low
-        for a, i in enumerate(indices):
-            matrix.set_at(i, i, 1)
-            for j in indices[:a]:
-                matrix.set_at(i, j, 1)
-
-
 def oracle_matrix(net: PetriNet, m0: Marking,
                   cap: int = DEFAULT_STATE_CAP,
-                  budget: float | None = DEFAULT_TIME_BUDGET,
-                  threads: int = 1) -> ConcurrencyMatrix:
+                  budget: float | None = DEFAULT_TIME_BUDGET) -> ConcurrencyMatrix:
     """Ground-truth concurrency matrix over ``net.places`` by exploration.
 
     When exploration completes, the matrix is total: 1 where two places are
     marked together in some reachable marking (diagonal: place not dead),
     0 everywhere else. When it is truncated, only witnessed 1s are emitted
     and every other cell stays undecided, which is sound but partial.
-
-    The fill over the marking set may fan out over `threads` workers; cell
-    writes are monotone (towards 1 only), so racing writers converge on the
-    same matrix.
     """
     result = explore_reachable(net, m0, cap=cap, budget=budget)
     fill = UNDECIDED if result.truncated else 0
     matrix = ConcurrencyMatrix(net.places, fill=fill)
-    if threads > 1 and len(result.masks) > 1:
-        chunk = (len(result.masks) + threads - 1) // threads
-        parts = [result.masks[k:k + chunk]
-                 for k in range(0, len(result.masks), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda part: _mark_pairs(matrix, part), parts))
-    else:
-        _mark_pairs(matrix, result.masks)
+    for mask in result.masks:
+        indices = []
+        while mask:
+            low = mask & -mask
+            indices.append(low.bit_length() - 1)
+            mask ^= low
+        for a, i in enumerate(indices):
+            matrix.set_at(i, i, 1)
+            for j in indices[:a]:
+                matrix.set_at(i, j, 1)
     return matrix

@@ -48,11 +48,6 @@ class ReductionResult:
     ratio: Fraction
 
 
-def reduction_ratio(result: ReductionResult) -> Fraction:
-    """Fraction of original places removed by the reduction."""
-    return result.ratio
-
-
 def _ratio(p1: tuple[str, ...], p2: tuple[str, ...]) -> Fraction:
     if not p1:
         # nothing to remove: an empty net is trivially fully reduced

@@ -198,15 +198,12 @@ class TokenFlowGraph:
     """The reduction DAG between the places of N1 and of N2.
 
     Built through `build_tfg`; immutable afterwards. Successor sets are
-    memoized on first use, and the cache fill is idempotent, so concurrent
-    readers are fine.
+    memoized on first use by `successors`.
     """
 
-    __slots__ = ("p1", "p2", "system", "nodes", "index", "groups",
-                 "r_arcs", "a_arcs", "roots", "constants", "topo",
-                 "topo_index", "warnings", "a_group_of", "r_targets_of",
-                 "in_group_of", "member_groups_of", "head_groups_of",
-                 "_succ_cache")
+    __slots__ = ("nodes", "index", "groups", "roots", "topo", "topo_index",
+                 "warnings", "a_group_of", "r_targets_of", "member_groups_of",
+                 "head_groups_of", "_succ_cache")
 
     def __init__(self, **fields):
         for key, value in fields.items():
@@ -220,36 +217,33 @@ class TokenFlowGraph:
         """Arc targets of v: agglomeration children, then redundancy targets."""
         return self.a_group_of.get(v, ()) + self.r_targets_of.get(v, ())
 
-    def successors_of(self, v: Node) -> frozenset[Node]:
-        if v not in self.index:
-            raise UnknownNode(f"'{v}' is not a node of the graph")
-        cache = self._succ_cache
-        # resolve bottom-up along an explicit stack; no recursion
-        stack = [v]
-        while stack:
-            node = stack[-1]
-            if node in cache:
-                stack.pop()
-                continue
-            pending = [w for w in self.out_children(node) if w not in cache]
-            if pending:
-                stack.extend(pending)
-                continue
-            closure = {node}
-            for w in self.out_children(node):
-                closure |= cache[w]
-            cache[node] = frozenset(closure)
-            stack.pop()
-        return cache[v]
-
     def __repr__(self):
         return (f"TokenFlowGraph({len(self.nodes)} nodes,"
-                f" {len(self.r_arcs)} R-arcs, {len(self.a_arcs)} A-arcs)")
+                f" {len(self.groups)} equations)")
 
 
 def successors(tfg: TokenFlowGraph, v: Node) -> frozenset[Node]:
     """Reflexive-transitive closure of v over both arc kinds."""
-    return tfg.successors_of(v)
+    if v not in tfg.index:
+        raise UnknownNode(f"'{v}' is not a node of the graph")
+    cache = tfg._succ_cache
+    # resolve bottom-up along an explicit stack; no recursion
+    stack = [v]
+    while stack:
+        node = stack[-1]
+        if node in cache:
+            stack.pop()
+            continue
+        pending = [w for w in tfg.out_children(node) if w not in cache]
+        if pending:
+            stack.extend(pending)
+            continue
+        closure = {node}
+        for w in tfg.out_children(node):
+            closure |= cache[w]
+        cache[node] = frozenset(closure)
+        stack.pop()
+    return cache[v]
 
 
 def build_tfg(system: EquationSystem, p1: Sequence[str],
@@ -313,11 +307,8 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
                 nodes.append(node)
     index = {node: i for i, node in enumerate(nodes)}
 
-    r_arcs: set[tuple[Node, Node]] = set()
-    a_arcs: set[tuple[Node, Node]] = set()
     a_group_of: dict[Node, tuple[Node, ...]] = {}
     r_targets_of: dict[Node, list[Node]] = {}
-    in_group_of: dict[Node, Group] = {}
     member_groups_of: dict[Node, list[Group]] = {}
     head_groups_of: dict[Node, list[Group]] = {}
     for group in groups:
@@ -326,28 +317,27 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
             member_groups_of.setdefault(member, []).append(group)
         if group.tag == "A":
             a_group_of[group.head] = group.members
-            for member in group.members:
-                a_arcs.add((group.head, member))
-                in_group_of[member] = group
         else:
-            in_group_of[group.head] = group
             for member in group.members:
-                r_arcs.add((member, group.head))
                 r_targets_of.setdefault(member, []).append(group.head)
+    r_targets_of = {v: tuple(ts) for v, ts in r_targets_of.items()}
 
-    # acyclicity via Kahn's algorithm with canonical tie-breaking
-    out_of = {v: [] for v in nodes}
+    def out_children(v: Node) -> tuple[Node, ...]:
+        return a_group_of.get(v, ()) + r_targets_of.get(v, ())
+
+    # acyclicity via Kahn's algorithm with canonical tie-breaking; the heap
+    # alone fixes the order, so arcs are walked as stored
     indeg = {v: 0 for v in nodes}
-    for (src, dst) in sorted(r_arcs | a_arcs, key=lambda e: (index[e[0]], index[e[1]])):
-        out_of[src].append(dst)
-        indeg[dst] += 1
+    for v in nodes:
+        for w in out_children(v):
+            indeg[w] += 1
     ready = [index[v] for v in nodes if indeg[v] == 0]
     heapify(ready)
     topo: list[Node] = []
     while ready:
         v = nodes[heappop(ready)]
         topo.append(v)
-        for w in out_of[v]:
+        for w in out_children(v):
             indeg[w] -= 1
             if indeg[w] == 0:
                 heappush(ready, index[w])
@@ -356,26 +346,20 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
         raise WellFormednessError("Cycle", stuck)
 
     # a node is an arc target exactly when some group removes it
-    roots = tuple(v for v in nodes if v not in in_group_of)
+    roots = tuple(v for v in nodes if v not in removed_by)
 
     warnings = []
     for v in nodes:
-        if not a_group_of.get(v) and not r_targets_of.get(v):
-            if isinstance(v, str) and v not in p1_set:
-                warnings.append(f"leaf node '{v}' is not a place of the"
-                                f" initial net (W5)")
+        if not out_children(v) and isinstance(v, str) and v not in p1_set:
+            warnings.append(f"leaf node '{v}' is not a place of the"
+                            f" initial net (W5)")
 
     return TokenFlowGraph(
-        p1=p1, p2=p2, system=system,
-        nodes=tuple(nodes), index=index, groups=tuple(groups),
-        r_arcs=frozenset(r_arcs), a_arcs=frozenset(a_arcs),
-        roots=roots,
-        constants=tuple(v for v in nodes if isinstance(v, ConstantNode)),
+        nodes=tuple(nodes), index=index, groups=tuple(groups), roots=roots,
         topo=tuple(topo), topo_index={v: i for i, v in enumerate(topo)},
         warnings=tuple(warnings),
         a_group_of=a_group_of,
-        r_targets_of={v: tuple(ts) for v, ts in r_targets_of.items()},
-        in_group_of=in_group_of,
+        r_targets_of=r_targets_of,
         member_groups_of={v: tuple(gs) for v, gs in member_groups_of.items()},
         head_groups_of={v: tuple(gs) for v, gs in head_groups_of.items()},
     )
@@ -475,10 +459,9 @@ def _rebalance(tfg: TokenFlowGraph, c: Configuration,
             dirty.add(node)
 
     for node in tfg.topo:
-        group = tfg.in_group_of.get(node)
-        if group is not None and group.tag == "R":
+        for group in tfg.head_groups_of.get(node, ()):
             # redundancy head: recompute the sum when any source moved
-            if any(m in dirty for m in group.members):
+            if group.tag == "R" and any(m in dirty for m in group.members):
                 total = sum(val(m) for m in group.members)
                 if vals.get(node) != total:
                     vals[node] = total
@@ -521,7 +504,7 @@ def propagate_token(tfg: TokenFlowGraph, c: Configuration,
         raise IllDefinedInput("input configuration is not well-defined")
     if c.value(p) is None:
         raise UndefinedAt(p)
-    if q not in tfg.successors_of(p):
+    if q not in successors(tfg, p):
         raise NotAncestor(f"'{p}' does not reach '{q}'")
     if p == q:
         return c
@@ -530,10 +513,11 @@ def propagate_token(tfg: TokenFlowGraph, c: Configuration,
     node = p
     while node != q:
         node = min((w for w in tfg.out_children(node)
-                    if q in tfg.successors_of(w)),
+                    if q in successors(tfg, w)),
                    key=tfg.index.__getitem__)
         path.append(node)
-    route = {u: w for u, w in zip(path, path[1:]) if (u, w) in tfg.a_arcs}
+    route = {u: w for u, w in zip(path, path[1:])
+             if w in tfg.a_group_of.get(u, ())}
     return _rebalance(tfg, c, route, {})
 
 
@@ -576,6 +560,6 @@ def find_marked_root(tfg: TokenFlowGraph, c: Configuration, p: Node) -> Node:
     if value is None or value == 0:
         raise NoTokenAt(p)
     for root in tfg.roots:
-        if (c.value(root) or 0) > 0 and p in tfg.successors_of(root):
+        if (c.value(root) or 0) > 0 and p in successors(tfg, root):
             return root
     raise AssertionError("well-defined marked node without a marked root")

@@ -184,14 +184,14 @@ def _random_total_config(rng, tfg, root_values=None, safe=False):
 
     for node in tfg.topo:
         if not isinstance(node, ConstantNode) and node not in values:
-            group = tfg.in_group_of.get(node)
-            if group is None:
-                if root_values is not None:
-                    values[node] = root_values[node]
-                else:
-                    values[node] = rng.randint(0, 1) if safe else rng.randint(0, 3)
-            elif group.tag == "R":
-                values[node] = sum(value_of(m) for m in group.members)
+            r_groups = [g for g in tfg.head_groups_of.get(node, ())
+                        if g.tag == "R"]
+            if r_groups:
+                values[node] = sum(value_of(m) for m in r_groups[0].members)
+            elif root_values is not None:
+                values[node] = root_values[node]
+            else:
+                values[node] = rng.randint(0, 1) if safe else rng.randint(0, 3)
         members = tfg.a_group_of.get(node)
         if members:
             for member, share in zip(members,
@@ -203,9 +203,10 @@ def _random_total_config(rng, tfg, root_values=None, safe=False):
 def _blankable_components(tfg):
     """Weakly connected arc components that contain no constant node."""
     neighbours: dict = {v: set() for v in tfg.nodes}
-    for src, dst in tfg.r_arcs | tfg.a_arcs:
-        neighbours[src].add(dst)
-        neighbours[dst].add(src)
+    for src in tfg.nodes:
+        for dst in tfg.out_children(src):
+            neighbours[src].add(dst)
+            neighbours[dst].add(src)
     seen: set = set()
     components = []
     for start in tfg.nodes:

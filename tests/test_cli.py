@@ -1,8 +1,13 @@
 """End-to-end command line behaviour and exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import coplaces
 from coplaces.cli import dispatch
 
 
@@ -131,6 +136,27 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     unsafe.write_text("pl a\ntr t : -> a\n")
     code, _, err = run(capsys, "oracle", str(unsafe))        # safety error
     assert code == 3 and "1-bounded" in err
+    for budget in (("--timeout", "0"), ("--timeout", "-1"),
+                   ("--timeout", "nan"), ("--cap", "0")):
+        code, _, err = run(capsys, "oracle", str(unsafe), *budget)
+        assert code == 1 and "not positive" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("oracle", "{bad}"),
+    ("check-tfg", "{m1}.net", "{m2}.net", "{bad}"),
+    ("compare", "{bad}", "{bad}"),
+    ("matrix", "{m1}.net", "--equations", "{m1}.eq", "--reduced", "{m2}.net",
+     "--rel2", "{bad}"),
+])
+def test_non_utf8_input_exits_2(tmp_path, capsys, fixture_path, command):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"pl caf\xe9\n")
+    argv = [arg.format(bad=bad, m1=fixture_path("m1"), m2=fixture_path("m2"))
+            for arg in command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert str(bad) in err
 
 
 def test_timeout_without_output(tmp_path, capsys, fixture_path):
@@ -163,17 +189,12 @@ def test_byte_identical_reruns(capsys, fixture_path):
 
 
 def test_module_entry_point(fixture_path):
+    # the child must import the same package as this process does
+    package_root = str(Path(coplaces.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "coplaces", "oracle", fixture_path("m1.net")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("7\np0\n")
-
-
-def test_threads_env_is_validated(capsys, fixture_path, monkeypatch):
-    monkeypatch.setenv("COPLACES_THREADS", "4")
-    code, stdout, _ = run(capsys, "oracle", fixture_path("m1.net"))
-    assert code == 0
-    monkeypatch.setenv("COPLACES_THREADS", "zero")
-    code, _, err = run(capsys, "oracle", fixture_path("m1.net"))
-    assert code == 1 and "COPLACES_THREADS" in err

@@ -151,7 +151,7 @@ def _doc_strategy():
             outs = draw(st.lists(st.sampled_from(places), max_size=3))
             weights = [f"{p}*{draw(st.integers(2, 4))}"
                        if draw(st.booleans()) else p for p in ins]
-            lines.append(f"tr t{k} : {' '.join(weights)} -> {' '.join(outs)}")
+            lines.append(f"tr T{k} : {' '.join(weights)} -> {' '.join(outs)}")
         return parse_net_text("\n".join(lines) + "\n")
     return doc()
 

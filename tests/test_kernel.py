@@ -1,5 +1,6 @@
 """Complete and partial reconstruction of the concurrency relation."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,10 +8,13 @@ import pytest
 from coplaces.errors import IncompleteRootRelation, InvalidRootRelation
 from coplaces.kernel import (PropagationStats, RootRelation, matrix_complete,
                              matrix_partial, propagate_node)
-from coplaces.matrix import UNDECIDED, ConcurrencyMatrix
+from coplaces.formats import write_net_text
+from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
+                             write_matrix)
 from coplaces.ptnet import oracle_matrix
 from coplaces.reductions import reduce_net
-from coplaces.tfg import build_tfg, parse_equation_system, successors
+from coplaces.tfg import (build_tfg, parse_equation_system, successors,
+                          write_equation_system)
 
 
 def _fig_rel2(fig_tfg, p6_undecided=False, p0_dead=True):
@@ -202,3 +206,42 @@ def test_stats_and_write_bounds(fig_tfg):
     n = len(fig_tfg.nodes)
     assert stats.body_runs <= not_dead
     assert C.write_count <= n * (n + 1) // 2
+
+
+# sha256 over the pipeline outputs of the seed-2024 corpus, computed with
+# the reference implementation; any refactor must reproduce it exactly
+GOLDEN_CORPUS_DIGEST = (
+    "d4a1d1c2c6a89d7a05af415db96db23f7c98e1cb45ab0ddac4b1476b76ed733e")
+
+
+def test_golden_corpus_digest(safe_net_corpus):
+    digest = hashlib.sha256()
+
+    def feed(text):
+        digest.update(text.encode("utf-8") + b"\0")
+
+    rng = random.Random(2024)
+    for doc in safe_net_corpus(2024, 500):
+        result = reduce_net(doc)
+        places = doc.net.places
+        feed(write_net_text(result.residual))
+        feed(write_equation_system(result.equations))
+        tfg = build_tfg(result.equations, places, result.residual.net.places)
+        for sequence in (tfg.warnings, tfg.nodes, tfg.roots, tfg.topo):
+            feed(repr(sequence))
+
+        reduced = oracle_matrix(result.residual.net, result.residual.initial)
+        complete = matrix_complete(tfg, RootRelation.from_reduced_matrix(
+            tfg, reduced))
+        feed("\n".join(complete.row_symbols(i) for i in range(complete.size)))
+
+        masked = reduced.copy()
+        for i, a in enumerate(reduced.order):
+            for b in reduced.order[:i + 1]:
+                if rng.random() < 0.5:
+                    masked.set_value(a, b, UNDECIDED)
+        partial = matrix_partial(tfg, RootRelation.from_reduced_matrix(
+            tfg, masked))
+        feed(write_matrix(MatrixDocument(places, partial.restrict(places),
+                                         "rle")))
+    assert digest.hexdigest() == GOLDEN_CORPUS_DIGEST

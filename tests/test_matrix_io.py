@@ -1,6 +1,7 @@
 """Matrix text format, filling ratio, and document comparison."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,12 +42,26 @@ def test_rle_run_encoding():
 
 
 def test_rle_decoding_accepts_mixed_forms():
-    assert _decode_row_rle("2(1)", 0) == "11"
-    assert _decode_row_rle("6(0)1", 0) == "0000001"
-    assert _decode_row_rle("1(0)1(1)3(.)", 0) == "01..."
-    assert _decode_row_rle("0.1", 0) == "0.1"
+    # row i decodes to i + 1 cells
+    assert _decode_row_rle("2(1)", 1) == "11"
+    assert _decode_row_rle("6(0)1", 6) == "0000001"
+    assert _decode_row_rle("1(0)1(1)3(.)", 4) == "01..."
+    assert _decode_row_rle("0.1", 2) == "0.1"
     with pytest.raises(BadSymbol):
-        _decode_row_rle("2(x)", 0)
+        _decode_row_rle("2(x)", 1)
+
+
+@pytest.mark.parametrize("count", [str(10**15), "9" * 5000])
+def test_rle_run_is_bounded_before_expansion(count):
+    tracemalloc.start()
+    try:
+        with pytest.raises(RowLengthMismatch) as err:
+            read_matrix(f"2\na\nb\n1\n{count}(0)\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.row == 1
+    assert peak < 1 << 20
 
 
 def test_read_matrix_errors():
@@ -118,7 +133,7 @@ def test_random_round_trips_both_encodings():
 @given(st.lists(st.sampled_from("01."), min_size=1, max_size=40))
 def test_rle_row_round_trip(symbols):
     row = "".join(symbols)
-    assert _decode_row_rle(_encode_row_rle(row), 0) == row
+    assert _decode_row_rle(_encode_row_rle(row), len(row) - 1) == row
 
 
 @settings(max_examples=150, deadline=None)

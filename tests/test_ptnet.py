@@ -127,9 +127,3 @@ def test_oracle_truncated_is_partial(seq2):
     assert C.value("a", "a") == 1              # witnessed
     assert C.value("b", "b") == UNDECIDED      # never seen
     assert C.value("a", "b") == UNDECIDED
-
-
-def test_oracle_threaded_matches_sequential(m1_doc):
-    lone = oracle_matrix(m1_doc.net, m1_doc.initial)
-    pooled = oracle_matrix(m1_doc.net, m1_doc.initial, threads=4)
-    assert lone == pooled

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from coplaces.formats import parse_net_text
 from coplaces.ptnet import oracle_matrix
-from coplaces.reductions import ReductionResult, reduce_net, reduction_ratio
+from coplaces.reductions import ReductionResult, reduce_net
 from coplaces.tfg import EquationSystem, write_equation_system
 
 # resists all three rules: the fork shape blocks chains, the self-loop on
@@ -63,7 +63,7 @@ def test_identity_reduction():
 
 def test_identity_result_of_fork_has_ratio_zero(fork):
     result = ReductionResult(fork, fork, EquationSystem([]), Fraction(0))
-    assert reduction_ratio(result) == Fraction(0)
+    assert result.ratio == Fraction(0)
 
 
 def test_reduction_is_deterministic(m1_doc):
