@@ -14,7 +14,7 @@ from .kernel import (PropagationStats, RootRelation, matrix_complete,
 from .matrix import (UNDECIDED, ComparisonReport, ConcurrencyMatrix,
                      MatrixDocument, compare_matrices, filling_ratio,
                      read_matrix, write_matrix)
-from .ptnet import (Marking, PetriNet, ReachabilitySet, explore_reachable,
+from .ptnet import (PetriNet, ReachabilitySet, explore_reachable,
                     fire_transition, oracle_matrix)
 from .reductions import ReductionResult, reduce_net
 from .tfg import (Configuration, ConstantNode, Equation, EquationSystem,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoplacesError", "UNDECIDED",
-    "PetriNet", "Marking", "ReachabilitySet",
+    "PetriNet", "ReachabilitySet",
     "fire_transition", "explore_reachable", "oracle_matrix",
     "NetDocument", "parse_pnml", "parse_net_text", "write_net_text", "load_net",
     "ReductionResult", "reduce_net",

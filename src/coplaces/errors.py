@@ -32,10 +32,11 @@ class NotEnabled(CoplacesError):
 
 
 class NotSafe(AnalysisError):
-    """A reachable marking puts two or more tokens in one place."""
+    """A reachable marking, the dict `witness`, has two tokens in a place."""
 
     def __init__(self, witness):
-        super().__init__(f"net is not 1-bounded, witness marking {witness}")
+        marked = ", ".join(f"{p}:{n}" for p, n in sorted(witness.items()) if n)
+        super().__init__(f"net is not 1-bounded, witness marking {{{marked}}}")
         self.witness = witness
 
 

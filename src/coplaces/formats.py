@@ -27,30 +27,19 @@ from dataclasses import dataclass
 
 from .errors import (DuplicateId, InputFormatError, MalformedNet,
                      NetSyntaxError, UnknownPlace, UnsupportedNet)
-from .ptnet import Marking, PetriNet
+from .ptnet import PetriNet, parse_count
 
 
-@dataclass(eq=False)
+@dataclass
 class NetDocument:
-    """A net together with its initial marking and source metadata.
-
-    Equality is structural (net and initial marking); the name and the
-    source format are carrier metadata and do not take part in it.
-    """
+    """A net together with its initial marking, a total dict of counts."""
 
     net: PetriNet
-    initial: Marking
-    name: str | None = None
-    source_format: str = "textual"
+    initial: dict[str, int]
 
     def __post_init__(self):
-        if set(self.initial.tokens) != set(self.net.places):
+        if set(self.initial) != set(self.net.places):
             raise ValueError("initial marking domain differs from net places")
-
-    def __eq__(self, other):
-        if not isinstance(other, NetDocument):
-            return NotImplemented
-        return self.net == other.net and self.initial == other.initial
 
 
 # -- textual format ----------------------------------------------------------
@@ -87,12 +76,9 @@ def parse_net_text(text: str) -> NetDocument:
 
     def parse_arc_term(token: str, col: int, lineno: int, flow: dict[str, int]):
         name, star, weight_text = token.partition("*")
-        if star:
-            if not weight_text.isdigit() or int(weight_text) < 1:
-                raise NetSyntaxError(lineno, col, "positive arc weight")
-            weight = int(weight_text)
-        else:
-            weight = 1
+        weight = parse_count(weight_text) if star else 1
+        if not weight:
+            raise NetSyntaxError(lineno, col, "positive arc weight")
         if name not in marking:
             raise UnknownPlace(name, lineno)
         flow[name] = flow.get(name, 0) + weight
@@ -114,9 +100,9 @@ def parse_net_text(text: str) -> NetDocument:
             initial = 0
             if len(tokens) == 3:
                 value, vcol = tokens[2]
-                if not value.isdigit():
+                initial = parse_count(value)
+                if initial is None:
                     raise NetSyntaxError(lineno, vcol, "initial marking (integer)")
-                initial = int(value)
             known.add(name)
             places.append(name)
             marking[name] = initial
@@ -146,7 +132,7 @@ def parse_net_text(text: str) -> NetDocument:
             raise NetSyntaxError(lineno, col, "'pl' or 'tr'")
 
     net = PetriNet(places, transitions, pre, post)
-    return NetDocument(net, net.make_marking(marking), source_format="textual")
+    return NetDocument(net, net.make_marking(marking))
 
 
 # -- PNML subset -------------------------------------------------------------
@@ -209,14 +195,15 @@ def parse_pnml(data) -> NetDocument:
     marking: dict[str, int] = {}
     transitions: list[str] = []
     arcs: list[tuple[str, str, str, int]] = []
-    name: str | None = net_elem.get("id")
+    ids: set[str] = set()
 
     def require_id(elem: ET.Element) -> str:
         ident = elem.get("id")
         if not ident:
             raise MalformedNet(f"<{_local(elem.tag)}> element without an id")
-        if ident in marking or ident in set(transitions):
+        if ident in ids:
             raise MalformedNet(f"duplicate id '{ident}'")
+        ids.add(ident)
         return ident
 
     def int_annotation(elem: ET.Element, what: str, default: int,
@@ -269,10 +256,6 @@ def parse_pnml(data) -> NetDocument:
                         raise UnsupportedNet(f"<{local}> on arc '{ident}'")
                 weight = int_annotation(elem, "inscription", 1, 1)
                 arcs.append((ident, source, target, weight))
-            elif kind == "name" and container is net_elem:
-                text = _text_of(elem)
-                if text:
-                    name = text
             # name/graphics/toolspecific and the like carry no semantics
 
     place_set = set(places)
@@ -290,8 +273,7 @@ def parse_pnml(data) -> NetDocument:
         flow[key] = flow.get(key, 0) + weight
 
     net = PetriNet(places, transitions, pre, post)
-    return NetDocument(net, net.make_marking(marking), name=name,
-                       source_format="pnml")
+    return NetDocument(net, net.make_marking(marking))
 
 
 def _decode(data: bytes, path) -> str:

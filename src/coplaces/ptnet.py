@@ -1,17 +1,21 @@
 """Petri net syntax, semantics, explicit-state reachability and oracle.
 
+A marking is a total ``dict`` from the places of a net to token counts,
+as `PetriNet.make_marking` builds it; net files, the reducer and
+`fire_transition` take counts of two or more.
+
 The exploration side is deliberately brute force: a deterministic
-breadth-first closure over bit-vector encoded markings. It doubles as the
-ground truth against which the structural pipeline is verified, so it stays
-simple and obviously correct. Only 1-bounded (safe) nets are explored;
-evidence of a second token in any place aborts with `NotSafe`.
+breadth-first closure over bit masks, bit i standing for the token of
+place i. It doubles as the ground truth against which the structural
+pipeline is verified, so it stays simple and obviously correct. Only
+1-bounded (safe) nets are explored; evidence of a second token in any
+place aborts with `NotSafe`.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .errors import NotEnabled, NotSafe, UnknownTransition
 from .matrix import UNDECIDED, ConcurrencyMatrix
@@ -20,41 +24,14 @@ DEFAULT_STATE_CAP = 1_000_000
 DEFAULT_TIME_BUDGET = 60.0
 
 
-class Marking:
-    """Total map from the places of a net to token counts.
-
-    Immutable and hashable, so markings can live in sets.
-    """
-
-    __slots__ = ("tokens", "_hash")
-
-    def __init__(self, tokens: Mapping[str, int]):
-        for place, count in tokens.items():
-            if count < 0:
-                raise ValueError(f"negative token count at '{place}'")
-        self.tokens = dict(tokens)
-        self._hash: Optional[int] = None
-
-    def __getitem__(self, place: str) -> int:
-        return self.tokens[place]
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Marking):
-            return NotImplemented
-        return self.tokens == other.tokens
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self.tokens.items()))
-        return self._hash
-
-    def __repr__(self) -> str:
-        marked = ", ".join(f"{p}:{n}" for p, n in sorted(self.tokens.items())
-                           if n > 0)
-        return "{" + (marked or "empty") + "}"
+def parse_count(text: str) -> int | None:
+    """`text` as a count if it is ASCII digits that `int` converts, else None."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 class PetriNet:
@@ -104,13 +81,17 @@ class PetriNet:
     def place_index(self, place: str) -> int:
         return self._place_index[place]
 
-    def make_marking(self, tokens: Mapping[str, int] | None = None) -> Marking:
+    def make_marking(self, tokens: Mapping[str, int] | None = None
+                     ) -> dict[str, int]:
         """Build a total marking, filling unmentioned places with zero."""
         tokens = dict(tokens or {})
         unknown = set(tokens) - set(self.places)
         if unknown:
             raise ValueError(f"marking mentions unknown places {sorted(unknown)}")
-        return Marking({p: tokens.get(p, 0) for p in self.places})
+        for place, count in tokens.items():
+            if count < 0:
+                raise ValueError(f"negative token count at '{place}'")
+        return {p: tokens.get(p, 0) for p in self.places}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PetriNet):
@@ -128,46 +109,40 @@ class PetriNet:
 
 
 class ReachabilitySet:
-    """The explored marking set of a net.
+    """The explored markings of a safe net, as bit masks.
 
-    `truncated` is set when exploration stopped on the state cap or the
-    time budget; the stored set is then a prefix-closed under-approximation.
-    Every stored marking is 1-bounded, so `safe` holds for the stored set.
+    `masks` lists them in discovery (breadth-first) order; bit i of a mask
+    is the token count, 0 or 1, of ``place_order[i]``. `truncated` is set
+    when exploration stopped on the state cap or the time budget; `masks`
+    is then a prefix of the full order.
     """
 
-    __slots__ = ("place_order", "masks", "safe", "truncated", "_mask_set")
+    __slots__ = ("place_order", "masks", "truncated")
 
-    def __init__(self, place_order: tuple[str, ...], masks: Iterable[int],
-                 safe: bool, truncated: bool):
+    def __init__(self, place_order: tuple[str, ...], masks: list[int],
+                 truncated: bool):
         self.place_order = place_order
-        self.masks = tuple(masks)
-        self.safe = safe
+        self.masks = masks
         self.truncated = truncated
-        self._mask_set = frozenset(self.masks)
 
-    def marking_from_mask(self, mask: int) -> Marking:
-        return Marking({p: (mask >> i) & 1
-                        for i, p in enumerate(self.place_order)})
+    def marking_from_mask(self, mask: int) -> dict[str, int]:
+        return {p: (mask >> i) & 1 for i, p in enumerate(self.place_order)}
 
     @property
-    def markings(self) -> tuple[Marking, ...]:
+    def markings(self) -> tuple[dict[str, int], ...]:
         """All stored markings, in discovery (BFS) order."""
         return tuple(self.marking_from_mask(m) for m in self.masks)
 
-    def __contains__(self, marking: Marking) -> bool:
-        mask = 0
-        for i, p in enumerate(self.place_order):
-            n = marking.tokens.get(p, 0)
-            if n > 1:
-                return False
-            mask |= n << i
-        return mask in self._mask_set
+    def __contains__(self, marking: Mapping[str, int]) -> bool:
+        """Whether the total `marking` was explored; a linear scan."""
+        return marking in self.markings
 
     def __len__(self) -> int:
         return len(self.masks)
 
 
-def fire_transition(net: PetriNet, marking: Marking, t: str) -> Marking:
+def fire_transition(net: PetriNet, marking: Mapping[str, int],
+                    t: str) -> dict[str, int]:
     """Fire `t` at `marking`, returning the successor marking.
 
     Raises
@@ -181,15 +156,15 @@ def fire_transition(net: PetriNet, marking: Marking, t: str) -> Marking:
         raise UnknownTransition(f"'{t}' is not a transition of the net")
     pre, post = net.pre[t], net.post[t]
     for p, w in pre.items():
-        if marking.tokens.get(p, 0) < w:
-            raise NotEnabled(f"'{t}' is not enabled at {marking}:"
-                             f" needs {w} token(s) in '{p}'")
-    tokens = dict(marking.tokens)
+        if marking.get(p, 0) < w:
+            raise NotEnabled(f"'{t}' is not enabled: needs {w} token(s)"
+                             f" in '{p}', has {marking.get(p, 0)}")
+    successor = dict(marking)
     for p, w in pre.items():
-        tokens[p] -= w
+        successor[p] -= w
     for p, w in post.items():
-        tokens[p] = tokens.get(p, 0) + w
-    return Marking(tokens)
+        successor[p] = successor.get(p, 0) + w
+    return successor
 
 
 def _compile_transitions(net: PetriNet):
@@ -211,7 +186,7 @@ def _compile_transitions(net: PetriNet):
     return compiled
 
 
-def explore_reachable(net: PetriNet, m0: Marking,
+def explore_reachable(net: PetriNet, m0: Mapping[str, int],
                       cap: int = DEFAULT_STATE_CAP,
                       budget: float | None = DEFAULT_TIME_BUDGET) -> ReachabilitySet:
     """Breadth-first closure of the reachable markings of a safe net.
@@ -222,10 +197,10 @@ def explore_reachable(net: PetriNet, m0: Marking,
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if set(m0.tokens) != set(net.places):
+    if set(m0) != set(net.places):
         raise ValueError("marking domain differs from net places")
     m0_mask = 0
-    for p, n in m0.tokens.items():
+    for p, n in m0.items():
         if n >= 2:
             raise NotSafe(m0)
         m0_mask |= n << net.place_index(p)
@@ -234,14 +209,12 @@ def explore_reachable(net: PetriNet, m0: Marking,
     deadline = None if budget is None else time.monotonic() + budget
 
     seen = {m0_mask}
-    order = [m0_mask]
-    queue = deque([m0_mask])
-    truncated = False
-    while queue:
+    masks = [m0_mask]
+    # the discovery list is also the queue: walking it while appending to
+    # it visits the markings in breadth-first order
+    for mask in masks:
         if deadline is not None and time.monotonic() > deadline:
-            truncated = True
-            break
-        mask = queue.popleft()
+            return ReachabilitySet(net.places, masks, truncated=True)
         for t, pre_mask, post_items in compiled:
             if mask & pre_mask != pre_mask:
                 continue
@@ -257,17 +230,14 @@ def explore_reachable(net: PetriNet, m0: Marking,
                     raise NotSafe(witness)
                 new |= 1 << i
             if new not in seen:
-                if len(seen) >= cap:
-                    truncated = True
-                    queue.clear()
-                    break
+                if len(masks) >= cap:
+                    return ReachabilitySet(net.places, masks, truncated=True)
                 seen.add(new)
-                order.append(new)
-                queue.append(new)
-    return ReachabilitySet(net.places, order, safe=True, truncated=truncated)
+                masks.append(new)
+    return ReachabilitySet(net.places, masks, truncated=False)
 
 
-def oracle_matrix(net: PetriNet, m0: Marking,
+def oracle_matrix(net: PetriNet, m0: Mapping[str, int],
                   cap: int = DEFAULT_STATE_CAP,
                   budget: float | None = DEFAULT_TIME_BUDGET) -> ConcurrencyMatrix:
     """Ground-truth concurrency matrix over ``net.places`` by exploration.

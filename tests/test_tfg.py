@@ -216,7 +216,7 @@ def test_find_marked_root(fig_tfg):
 
 def _extend_marking(tfg, marking):
     """Total configuration over the graph from a full initial-net marking."""
-    values = dict(marking.tokens)
+    values = dict(marking)
     for node in reversed(tfg.topo):
         if isinstance(node, ConstantNode) or node in values:
             continue
