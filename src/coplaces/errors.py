@@ -93,7 +93,9 @@ class BadConstant(InputFormatError):
     """Constant outside {0, 1} in an equation."""
 
     def __init__(self, value: int):
-        super().__init__(f"constant {value} not allowed, only 0 and 1 are")
+        digits = str(value)
+        shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
+        super().__init__(f"constant {shown} not allowed, only 0 and 1 are")
         self.value = value
 
 

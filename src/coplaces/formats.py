@@ -212,11 +212,10 @@ def parse_pnml(data) -> NetDocument:
         if node is None:
             return default
         text = _text_of(node)
-        try:
-            value = int(text)
-        except ValueError:
+        value = parse_count(text)
+        if value is None:
             raise MalformedNet(f"non-integer {what} '{text}'"
-                               f" on '{elem.get('id')}'") from None
+                               f" on '{elem.get('id')}'")
         if value < minimum:
             raise MalformedNet(f"{what} {value} below {minimum}"
                                f" on '{elem.get('id')}'")

@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from collections import deque
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import IncompleteRootRelation, InvalidRootRelation
 from .formats import NetDocument
@@ -142,14 +142,15 @@ class RootRelation:
 
 def propagate_node(tfg: TokenFlowGraph, matrix: ConcurrencyMatrix, v: Node,
                    memo: Optional[dict] = None,
-                   stats: Optional[PropagationStats] = None) -> frozenset[Node]:
-    """Flood from the not-dead node `v`, returning its successor set.
+                   stats: Optional[PropagationStats] = None) -> int:
+    """Flood from the not-dead node `v`, returning its successor set as a mask.
 
-    Side effects on `matrix`: the diagonal of every successor becomes 1,
-    and for every redundancy arc below `v` the nodes accumulated before the
-    arc are related to the arc target's cone. With a shared `memo`, a node
-    body runs at most once across any number of calls; repeated calls
-    return the same set and change no cell.
+    `matrix` is over ``tfg.nodes``, so bit i of the mask stands for
+    ``tfg.nodes[i]``. Side effects on `matrix`: the diagonal of every
+    successor becomes 1, and for every redundancy arc below `v` the nodes
+    accumulated before the arc are related to the arc target's cone. With a
+    shared `memo`, a node body runs at most once across any number of calls;
+    repeated calls return the same mask and change no cell.
     """
     if memo is None:
         memo = {}
@@ -174,34 +175,27 @@ def propagate_node(tfg: TokenFlowGraph, matrix: ConcurrencyMatrix, v: Node,
         if stats is not None:
             stats.body_runs += 1
         matrix.set_value(node, node, 1)
-        succs = {node}
+        succs = 1 << tfg.index[node]
         for child in tfg.a_group_of.get(node, ()):
             succs |= memo[child]
         for target in tfg.r_targets_of.get(node, ()):
-            _cross(matrix, succs, memo[target])
+            matrix.relate(succs, memo[target])
             succs |= memo[target]
-        memo[node] = frozenset(succs)
+        memo[node] = succs
     return memo[v]
-
-
-def _cross(matrix: ConcurrencyMatrix, left: Iterable[Node],
-           right: frozenset[Node]) -> None:
-    for x in left:
-        for y in right:
-            matrix.set_value(x, y, 1)
 
 
 def _propagate_roots(tfg: TokenFlowGraph, rel2: RootRelation,
                      matrix: ConcurrencyMatrix,
                      stats: Optional[PropagationStats] = None) -> None:
     """Flood every live root, then relate the cones of concurrent root pairs."""
-    memo: dict[Node, frozenset[Node]] = {}
+    memo: dict[Node, int] = {}
     live = [r for r in tfg.roots if rel2.value(r, r) == 1]
     cones = {r: propagate_node(tfg, matrix, r, memo, stats) for r in live}
     for i, v in enumerate(live):
         for w in live[:i]:
             if rel2.value(v, w) == 1:
-                _cross(matrix, cones[v], cones[w])
+                matrix.relate(cones[v], cones[w])
 
 
 def matrix_complete(tfg: TokenFlowGraph, rel2: RootRelation,
@@ -255,9 +249,10 @@ def matrix_partial(tfg: TokenFlowGraph, rel2: RootRelation,
                 if a != b:
                     set_zero(a, b)
 
-    # every already-decided zero is a closure seed
-    for i, a in enumerate(tfg.nodes):
-        for b in tfg.nodes[:i + 1]:
+    # propagation writes only 1s and A4's zeros are queued already, so the
+    # other decided zeros, the closure's remaining seeds, sit between roots
+    for i, a in enumerate(roots):
+        for b in roots[:i + 1]:
             if matrix.value(a, b) == 0:
                 queue.append((a, b))
 

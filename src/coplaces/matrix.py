@@ -1,9 +1,12 @@
-"""Concurrency matrices: triangular storage, text format, metrics.
+"""Concurrency matrices: bit-mask rows, text format, metrics.
 
 A concurrency matrix records, for every unordered pair of nodes, whether the
 two nodes can be marked together (1), cannot (0), or whether this is still
 undecided (the `UNDECIDED` sentinel, written `.` in files). The diagonal
 holds liveness: cell (v, v) is 1 exactly when v is not dead.
+
+A set of nodes is an ``int`` mask in every layer: bit i stands for
+``order[i]``, the i-th node of the matrix order, and `bits` lists them.
 
 Text format, plain encoding::
 
@@ -26,57 +29,51 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadHeader, BadSymbol, OrderMismatch, RowLengthMismatch
 
 #: Cell value for "relation not decided yet".
 UNDECIDED = 2
 
-_SYMBOL = {0: "0", 1: "1", UNDECIDED: "."}
-_VALUE = {"0": 0, "1": 1, ".": UNDECIDED}
+
+def bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 class ConcurrencyMatrix:
     """Lower-triangular symmetric matrix over an ordered node set.
 
-    Cells take the values 0, 1 or `UNDECIDED`. The accessor normalises the
-    index pair, so ``value(v, w) == value(w, v)`` by construction.
-    `write_count` counts effective writes only: assignments that change the
-    stored cell. Re-writing an equal value is free, which is what makes the
-    propagation algorithms idempotent.
+    Row i covers the cells (i, 0..i) as two masks over bits 0..i:
+    ``_ones[i]`` holds the 1 cells and ``_zeros[i]`` the 0 cells; a cell in
+    neither is `UNDECIDED`. The accessors normalise the index pair, so
+    ``value(v, w) == value(w, v)`` by construction. `write_count` counts
+    effective writes only: assignments that change a stored cell.
+    Re-writing an equal value is free, which is what makes the propagation
+    algorithms idempotent.
     """
 
-    __slots__ = ("order", "_index", "_cells", "write_count")
+    __slots__ = ("order", "_index", "_ones", "_zeros", "write_count")
 
     def __init__(self, order: Iterable, fill: int = 0):
         order = tuple(order)
         if len(set(order)) != len(order):
             raise ValueError("duplicate nodes in matrix order")
-        if fill not in _SYMBOL:
+        if fill not in (0, 1, UNDECIDED):
             raise ValueError(f"bad fill value {fill!r}")
         self.order = order
         self._index = {node: i for i, node in enumerate(order)}
-        n = len(order)
-        self._cells = bytearray([fill]) * (n * (n + 1) // 2)
+        full = [(2 << i) - 1 for i in range(len(order))]
+        self._ones = full if fill == 1 else [0] * len(order)
+        self._zeros = full if fill == 0 else [0] * len(order)
         self.write_count = 0
-
-    # -- indexing -------------------------------------------------------
 
     @property
     def size(self) -> int:
         return len(self.order)
-
-    def index(self, node) -> int:
-        return self._index[node]
-
-    def __contains__(self, node) -> bool:
-        return node in self._index
-
-    @staticmethod
-    def _offset(i: int, j: int) -> int:
-        # caller guarantees i >= j
-        return i * (i + 1) // 2 + j
 
     # -- cell access ----------------------------------------------------
 
@@ -87,7 +84,9 @@ class ConcurrencyMatrix:
     def value_at(self, i: int, j: int) -> int:
         if i < j:
             i, j = j, i
-        return self._cells[self._offset(i, j)]
+        if self._ones[i] >> j & 1:
+            return 1
+        return 0 if self._zeros[i] >> j & 1 else UNDECIDED
 
     def set_value(self, a, b, value: int) -> None:
         self.set_at(self._index[a], self._index[b], value)
@@ -95,57 +94,63 @@ class ConcurrencyMatrix:
     def set_at(self, i: int, j: int, value: int) -> None:
         if i < j:
             i, j = j, i
-        k = self._offset(i, j)
-        if self._cells[k] != value:
-            self._cells[k] = value
+        if self.value_at(i, j) != value:
+            bit = 1 << j
+            self._ones[i] = self._ones[i] & ~bit | (bit if value == 1 else 0)
+            self._zeros[i] = self._zeros[i] & ~bit | (bit if value == 0 else 0)
             self.write_count += 1
+
+    def relate(self, xs: int, ys: int) -> None:
+        """Set to 1 every cell (x, y) with bit x in `xs` and bit y in `ys`."""
+        ones, zeros = self._ones, self._zeros
+        for i in bits(xs | ys):
+            row = (ys if xs >> i & 1 else 0) | (xs if ys >> i & 1 else 0)
+            new = row & ((2 << i) - 1) & ~ones[i]
+            if new:
+                ones[i] |= new
+                zeros[i] &= ~new
+                self.write_count += new.bit_count()
 
     # -- whole-matrix views ---------------------------------------------
 
     @property
     def complete(self) -> bool:
         """True when no cell is undecided."""
-        return UNDECIDED not in self._cells
+        return self.defined_count() == self.size * (self.size + 1) // 2
 
     def defined_count(self) -> int:
         """Number of cells holding 0 or 1."""
-        return len(self._cells) - self._cells.count(UNDECIDED)
+        return sum(row.bit_count() for row in self._ones + self._zeros)
 
     def row_symbols(self, i: int) -> str:
         """Row i of the triangle as a symbol string of length i + 1."""
-        base = self._offset(i, 0)
-        return "".join(_SYMBOL[v] for v in self._cells[base:base + i + 1])
+        row = list(format(self._ones[i], f"0{i + 1}b")[::-1])
+        for j in bits(~(self._ones[i] | self._zeros[i]) & ((2 << i) - 1)):
+            row[j] = "."
+        return "".join(row)
 
     def restrict(self, order: Sequence) -> "ConcurrencyMatrix":
-        """Sub-matrix over `order`, which must be a subset of the nodes."""
-        sub = ConcurrencyMatrix(order, fill=0)
-        idx = [self._index[node] for node in sub.order]
-        cells = sub._cells
-        for i, oi in enumerate(idx):
-            base = sub._offset(i, 0)
-            for j in range(i + 1):
-                cells[base + j] = self.value_at(oi, idx[j])
+        """Sub-matrix over `order`, which must be a prefix of the nodes."""
+        sub = ConcurrencyMatrix(order, fill=UNDECIDED)
+        if self.order[:sub.size] != sub.order:
+            raise ValueError("restrict needs a prefix of the matrix order")
+        sub._ones, sub._zeros = self._ones[:sub.size], self._zeros[:sub.size]
         return sub
 
     def copy(self) -> "ConcurrencyMatrix":
-        dup = ConcurrencyMatrix.__new__(ConcurrencyMatrix)
-        dup.order = self.order
-        dup._index = self._index
-        dup._cells = bytearray(self._cells)
-        dup.write_count = 0
+        dup = ConcurrencyMatrix(self.order, fill=UNDECIDED)
+        dup._ones, dup._zeros = list(self._ones), list(self._zeros)
         return dup
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConcurrencyMatrix):
             return NotImplemented
-        return self.order == other.order and self._cells == other._cells
-
-    def __hash__(self):
-        return hash((self.order, bytes(self._cells)))
+        return (self.order == other.order and self._ones == other._ones
+                and self._zeros == other._zeros)
 
     def __repr__(self) -> str:
-        return (f"ConcurrencyMatrix({self.size} nodes,"
-                f" {self.defined_count()}/{len(self._cells)} defined)")
+        return (f"ConcurrencyMatrix({self.size} nodes, {self.defined_count()}"
+                f"/{self.size * (self.size + 1) // 2} defined)")
 
 
 @dataclass
@@ -189,6 +194,8 @@ def _encode_row_rle(row: str) -> str:
 
 
 _RLE_TOKEN = re.compile(r"(\d+)\(([01.])\)|([01.])")
+_BAD_SYMBOL = re.compile(r"[^01.]")
+_ZERO_BITS = str.maketrans("01.", "100")
 
 
 def _decode_row_rle(text: str, row: int) -> str:
@@ -251,16 +258,18 @@ def read_matrix(text: str) -> MatrixDocument:
 
     rows = lines[1 + n:1 + 2 * n]
     rle = any("(" in row for row in rows)
-    matrix = ConcurrencyMatrix(names, fill=0)
+    matrix = ConcurrencyMatrix(names, fill=UNDECIDED)
     for i, raw in enumerate(rows):
         raw = raw.strip()
         row = _decode_row_rle(raw, i) if rle else raw
         if len(row) != i + 1:
             raise RowLengthMismatch(i)
-        for j, sym in enumerate(row):
-            if sym not in _VALUE:
-                raise BadSymbol(i, j)
-            matrix.set_at(i, j, _VALUE[sym])
+        # int(row, 2) also takes '_', '+', spaces and other digits: check first
+        if bad := _BAD_SYMBOL.search(row):
+            raise BadSymbol(i, bad.start())
+        row = row[::-1]
+        matrix._ones[i] = int(row.replace(".", "0"), 2)
+        matrix._zeros[i] = int(row.translate(_ZERO_BITS), 2)
     return MatrixDocument(tuple(names), matrix, "rle" if rle else "plain")
 
 
@@ -302,16 +311,10 @@ def compare_matrices(a: MatrixDocument, b: MatrixDocument) -> ComparisonReport:
         raise OrderMismatch(f"orders differ: {list(a.order)} vs {list(b.order)}")
     contradictions: list[tuple[int, int]] = []
     resolved = 0
-    for i in range(len(a.order)):
-        for j in range(i + 1):
-            va = a.matrix.value_at(i, j)
-            vb = b.matrix.value_at(i, j)
-            if va == vb:
-                continue
-            if va == UNDECIDED or vb == UNDECIDED:
-                resolved += 1
-            else:
-                contradictions.append((i, j))
+    rows = zip(a.matrix._ones, a.matrix._zeros, b.matrix._ones, b.matrix._zeros)
+    for i, (a1, a0, b1, b0) in enumerate(rows):
+        resolved += ((a1 | a0) ^ (b1 | b0)).bit_count()
+        contradictions.extend((i, j) for j in bits(a1 & b0 | a0 & b1))
     if contradictions:
         return ComparisonReport("contradiction", resolved, contradictions)
     if resolved:

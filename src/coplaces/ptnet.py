@@ -251,13 +251,5 @@ def oracle_matrix(net: PetriNet, m0: Mapping[str, int],
     fill = UNDECIDED if result.truncated else 0
     matrix = ConcurrencyMatrix(net.places, fill=fill)
     for mask in result.masks:
-        indices = []
-        while mask:
-            low = mask & -mask
-            indices.append(low.bit_length() - 1)
-            mask ^= low
-        for a, i in enumerate(indices):
-            matrix.set_at(i, i, 1)
-            for j in indices[:a]:
-                matrix.set_at(i, j, 1)
+        matrix.relate(mask, mask)
     return matrix

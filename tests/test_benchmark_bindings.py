@@ -17,16 +17,29 @@ def test_tracer_binds_and_counts(monkeypatch, tmp_path, fixture_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import worker
 
+    m1, m2 = fixture_path("m1"), fixture_path("m2")
+    rel2 = tmp_path / "m2.mat"
+    assert cli.dispatch(["oracle", f"{m2}.net", "-o", str(rel2)]) == 0
+    # one blanked cell, (p6, a2), makes the root relation partial
+    rows = rel2.read_text().splitlines()
+    rows[-1] = rows[-1][0] + "." + rows[-1][2:]
+    rel2.write_text("\n".join(rows) + "\n")
+
     tracer = worker.Tracer()
     tracer.install()
     try:
-        code = cli.dispatch(["matrix", fixture_path("m1.net"),
-                             "--equations", fixture_path("m1.eq"),
-                             "--reduced", fixture_path("m2.net"), "--oracle",
-                             "-o", str(tmp_path / "m1.mat")])
+        codes = [cli.dispatch(["matrix", f"{m1}.net", "--equations", f"{m1}.eq",
+                               "--reduced", f"{m2}.net", *source,
+                               "-o", str(tmp_path / "m1.mat")])
+                 for source in (["--oracle"], ["--rel2", str(rel2), "--partial"])]
     finally:
         tracer.uninstall()
-    assert code == 0
-    spans = {span[0]: span[5] for span in tracer.take()}
+    assert codes == [0, 0]
+    spans = {}
+    for name, _, _, _, _, counts in tracer.take():
+        spans.setdefault(name, counts)
     assert spans["kernel.complete"]["body_runs"] > 0
+    assert spans["kernel.complete"]["cell_writes"] > 0
+    assert spans["kernel.partial"]["cell_writes"] > 0
+    assert "matrix.restrict" in spans
     assert "ptnet.explore" in spans

@@ -181,6 +181,41 @@ def test_bad_counts_exit_2(tmp_path, capsys, fixture_path, kind, text, line):
     assert f"line {line}" in err
 
 
+_PNML = ('<pnml><net id="n"><place id="a">{marking}</place>'
+         '<transition id="t"/><arc id="x" source="a" target="t">{weight}</arc>'
+         '</net></pnml>')
+
+
+@pytest.mark.parametrize("marking, weight", [
+    ("1_0", None), ("\u0663", None), (" +2", None),
+    (None, "1_0"), (None, "+2"),
+], ids=["marking-underscore", "marking-arabic-indic", "marking-plus",
+        "weight-underscore", "weight-plus"])
+def test_pnml_counts_are_ascii_digits(tmp_path, capsys, marking, weight):
+    def annotation(tag, text):
+        return "" if text is None else f"<{tag}><text>{text}</text></{tag}>"
+
+    net = tmp_path / "bad.pnml"
+    net.write_text(_PNML.format(marking=annotation("initialMarking", marking),
+                                weight=annotation("inscription", weight)),
+                   encoding="utf-8")
+    code, _, err = run(capsys, "oracle", str(net))
+    assert code == 2
+    assert "non-integer" in err
+
+
+def test_long_constant_message_is_bounded(tmp_path, capsys, fixture_path):
+    bad = tmp_path / "bad.eq"
+    for constant, message in (("7", "constant 7 not allowed, only 0 and 1 are"),
+                              ("9" * 4000, "constant of 4000 digits")):
+        bad.write_text(f"# R |- p1 = {constant}\n", encoding="utf-8")
+        code, _, err = run(capsys, "check-tfg", fixture_path("m1.net"),
+                           fixture_path("m2.net"), str(bad))
+        assert code == 2
+        assert message in err
+        assert len(err.encode("utf-8")) < 200
+
+
 def test_timeout_without_output(tmp_path, capsys, fixture_path):
     code, _, err = run(capsys, "matrix", fixture_path("m1.net"),
                        "--cap", "2")

@@ -36,6 +36,8 @@ def test_parse_pnml_inscription_weight():
         '<arc id="arc1" source="a" target="t">'
         "<inscription><text>2</text></inscription></arc>"))
     assert doc.net.pre["t"] == {"a": 2}
+    doc = parse_pnml(SEQ2_PNML.replace("<text>1</text>", "<text> 3 </text>"))
+    assert doc.initial == {"a": 3, "b": 0}
 
 
 def test_parse_pnml_checks_ids_in_linear_time():

@@ -1,0 +1,147 @@
+"""The bit-row matrix core against cell-by-cell references.
+
+Each row operation of `ConcurrencyMatrix` (`relate`, `restrict`, `copy`)
+and each row-wise reader (`compare_matrices`, `read_matrix`) is checked on
+seeded random cases against the cell loop it replaces.
+"""
+
+import random
+
+import pytest
+
+from coplaces.errors import BadSymbol
+from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
+                             compare_matrices, read_matrix, write_matrix)
+
+
+def _order(n):
+    return tuple(f"p{k}" for k in range(n))
+
+
+def _random_matrix(rng, n):
+    matrix = ConcurrencyMatrix(_order(n), fill=UNDECIDED)
+    for i in range(n):
+        for j in range(i + 1):
+            matrix.set_at(i, j, rng.choice((0, 1, UNDECIDED)))
+    return matrix
+
+
+def _cells(matrix):
+    return [[matrix.value_at(i, j) for j in range(i + 1)]
+            for i in range(matrix.size)]
+
+
+def _mask_pairs(rng, n):
+    """Empty, disjoint, overlapping, equal and random masks over n bits."""
+    full = (1 << n) - 1
+    low = rng.getrandbits(n) & full
+    yield 0, 0
+    yield 0, low
+    yield low, 0
+    yield low, full & ~low
+    yield low, low
+    yield full, full
+    for _ in range(4):
+        xs = rng.getrandbits(n)
+        yield xs, xs | rng.getrandbits(n)
+        yield rng.getrandbits(n), rng.getrandbits(n)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_relate_matches_set_at_double_loop(seed):
+    rng = random.Random(seed)
+    for n in (1, 2, 7, 40, 70):
+        starts = (ConcurrencyMatrix(_order(n), fill=0),
+                  ConcurrencyMatrix(_order(n), fill=UNDECIDED),
+                  _random_matrix(rng, n))
+        for start in starts:
+            for xs, ys in _mask_pairs(rng, n):
+                fast, slow = start.copy(), start.copy()
+                fast.relate(xs, ys)
+                for x in range(n):
+                    for y in range(n):
+                        if xs >> x & 1 and ys >> y & 1:
+                            slow.set_at(x, y, 1)
+                assert _cells(fast) == _cells(slow)
+                assert fast == slow
+                assert fast.write_count == slow.write_count
+
+
+def _reference_report(a, b):
+    contradictions, resolved = [], 0
+    for i in range(a.size):
+        for j in range(i + 1):
+            va, vb = a.value_at(i, j), b.value_at(i, j)
+            if va == vb:
+                continue
+            if UNDECIDED in (va, vb):
+                resolved += 1
+            else:
+                contradictions.append((i, j))
+    if contradictions:
+        return "contradiction", resolved, contradictions
+    return ("compatible" if resolved else "equal"), resolved, []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compare_matrices_matches_cell_loop(seed):
+    rng = random.Random(seed)
+    for n in (0, 1, 3, 12, 65):
+        a = _random_matrix(rng, n)
+        # an equal copy, a copy with cells blanked or flipped, an unrelated one
+        for b in (a.copy(), a.copy(), a.copy(), _random_matrix(rng, n)):
+            for i in range(n):
+                for j in range(i + 1):
+                    if rng.random() < 0.1:
+                        b.set_at(i, j, rng.choice((0, 1, UNDECIDED)))
+            for left, right in ((a, b), (b, a)):
+                report = compare_matrices(MatrixDocument(_order(n), left),
+                                          MatrixDocument(_order(n), right))
+                assert ((report.kind, report.resolved, report.cells)
+                        == _reference_report(left, right))
+
+
+# a space at either end of a row is stripped, so it is tested inside only
+@pytest.mark.parametrize("symbol, column", [
+    (symbol, column) for symbol in "_+١" for column in range(3)] + [(" ", 1)])
+def test_read_matrix_rejects_what_int_accepts(symbol, column):
+    row = list("1.0")
+    row[column] = symbol
+    with pytest.raises(BadSymbol) as err:
+        read_matrix("3\na\nb\nc\n1\n11\n" + "".join(row) + "\n")
+    assert (err.value.row, err.value.col) == (2, column)
+
+
+def test_read_matrix_round_trips_random_rows():
+    rng = random.Random(7)
+    for n in (1, 5, 33, 80):
+        matrix = _random_matrix(rng, n)
+        for encoding in ("plain", "rle"):
+            text = write_matrix(MatrixDocument(_order(n), matrix, encoding))
+            doc = read_matrix(text)
+            assert _cells(doc.matrix) == _cells(matrix)
+            assert doc.matrix.write_count == 0
+
+
+def test_restrict_needs_a_prefix():
+    matrix = ConcurrencyMatrix("abcd", fill=UNDECIDED)
+    with pytest.raises(ValueError):
+        matrix.restrict("dcba")
+    with pytest.raises(ValueError):
+        matrix.restrict("bc")
+    assert matrix.restrict("").size == 0
+
+
+def test_restrict_and_copy_are_independent_of_the_source():
+    rng = random.Random(3)
+    source = _random_matrix(rng, 6)
+    before = _cells(source)
+    assert source.restrict(source.order) == source
+    assert _cells(source.restrict(_order(3))) == before[:3]
+    for derived in (source.copy(), source.restrict(_order(4)),
+                    source.restrict(source.order)):
+        for i in range(derived.size):
+            for j in range(i + 1):
+                derived.set_at(i, j, (source.value_at(i, j) + 1) % 3)
+        derived.relate((1 << derived.size) - 1, (1 << derived.size) - 1)
+        assert _cells(source) == before
