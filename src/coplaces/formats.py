@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 from .errors import (DuplicateId, InputFormatError, MalformedNet,
                      NetSyntaxError, UnknownPlace, UnsupportedNet)
-from .ptnet import PetriNet, parse_count
+from .matrix import parse_count
+from .ptnet import PetriNet
 
 
 @dataclass
@@ -214,8 +215,8 @@ def parse_pnml(data) -> NetDocument:
         text = _text_of(node)
         value = parse_count(text)
         if value is None:
-            raise MalformedNet(f"non-integer {what} '{text}'"
-                               f" on '{elem.get('id')}'")
+            shown = f"'{text}'" if len(text) <= 20 else f"of {len(text)} characters"
+            raise MalformedNet(f"non-integer {what} {shown} on '{elem.get('id')}'")
         if value < minimum:
             raise MalformedNet(f"{what} {value} below {minimum}"
                                f" on '{elem.get('id')}'")

@@ -23,20 +23,25 @@ Axioms, where a "group" is one equation head v with members X:
 * A5  if every member is nonconcurrent with w, so is the head;
 * A6  if the head is nonconcurrent with w, so is every member.
 
-The closure runs on a worklist of decided-zero cells, so each cell is
-processed once and the fixpoint is order-independent.
+The closure works on node rows: each node keeps the mask of the nodes it is
+decided nonconcurrent with, and a node whose row grows runs A1, A5 and A6
+as mask operations until no row grows; A4 seeds it. Axioms only turn
+undecided cells into 0, so the fixpoint does not depend on the order.
+A2 and A3 need no code: a node with a 1 in its row has a 1 on its diagonal
+(propagation writes the diagonal of every node it relates, and
+`RootRelation` rejects a dead root that is related), so A1 makes a dead
+node's row all zeros, and then A5 with w the head gives A2 and A6 with w a
+member gives A3.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from collections import deque
 from typing import Optional
 
 from .errors import IncompleteRootRelation, InvalidRootRelation
 from .formats import NetDocument
-from .matrix import UNDECIDED, ConcurrencyMatrix, MatrixDocument
+from .matrix import UNDECIDED, ConcurrencyMatrix, MatrixDocument, bits
 from .ptnet import DEFAULT_STATE_CAP, DEFAULT_TIME_BUDGET, oracle_matrix
 from .tfg import ConstantNode, Node, TokenFlowGraph
 
@@ -66,21 +71,19 @@ class RootRelation:
         self._normalize()
 
     def _normalize(self) -> None:
-        roots, cells = self.tfg.roots, self.cells
         # a 1 anywhere in a row implies the diagonal; a 0 diagonal zeroes
         # the row; a decided-dead root with a 1 in its row is contradictory
-        for a in roots:
-            row_one = any(cells.value(a, b) == 1 for b in roots)
-            diag = cells.value(a, a)
-            if diag == 0 and row_one:
-                raise InvalidRootRelation(f"root '{a}' is dead yet related")
-            if diag == UNDECIDED and row_one:
-                cells.set_value(a, a, 1)
-        for a in roots:
-            if cells.value(a, a) == 0:
-                for b in roots:
-                    if cells.value(a, b) == UNDECIDED:
-                        cells.set_value(a, b, 0)
+        ones, zeros = self.cells.full_rows()
+        dead = 0
+        for i, root in enumerate(self.tfg.roots):
+            if zeros[i] >> i & 1:
+                if ones[i]:
+                    raise InvalidRootRelation(f"root '{root}' is dead yet related")
+                dead |= 1 << i
+            elif ones[i]:
+                self.cells.set_at(i, i, 1)
+        self.cells.add_zeros([-1 if dead >> i & 1 else dead
+                              for i in range(len(ones))])
 
     def value(self, a: Node, b: Node) -> int:
         return self.cells.value(a, b)
@@ -215,15 +218,13 @@ def matrix_complete(tfg: TokenFlowGraph, rel2: RootRelation,
     return matrix
 
 
-def matrix_partial(tfg: TokenFlowGraph, rel2: RootRelation,
-                   rng: Optional[random.Random] = None) -> ConcurrencyMatrix:
+def matrix_partial(tfg: TokenFlowGraph, rel2: RootRelation) -> ConcurrencyMatrix:
     """Sound partial concurrency matrix from a partial root relation.
 
     Cells start undecided; root knowledge is seeded, 1-propagation runs
-    from the roots known to be live, then the six zero-axioms run to a
-    fixpoint. Axioms only ever turn undecided cells into 0, so the result
-    does not depend on the processing order; `rng`, when given, randomizes
-    the worklist order (a testing hook for exactly that property).
+    from the roots known to be live, then the zero-axioms close the node
+    rows to a fixpoint, which is unique because axioms only ever turn
+    undecided cells into 0.
     """
     matrix = ConcurrencyMatrix(tfg.nodes, fill=UNDECIDED)
     roots = tfg.roots
@@ -234,59 +235,43 @@ def matrix_partial(tfg: TokenFlowGraph, rel2: RootRelation,
                 matrix.set_value(a, b, value)
     _propagate_roots(tfg, rel2, matrix)
 
-    queue: deque[tuple[Node, Node]] = deque()
+    ones, zeros = matrix.full_rows()
+    pending = {v for v, row in enumerate(zeros) if row}
+    index, everything = tfg.index, (1 << len(tfg.nodes)) - 1
 
-    def set_zero(a: Node, b: Node) -> None:
-        if matrix.value(a, b) == UNDECIDED:
-            matrix.set_value(a, b, 0)
-            queue.append((a, b))
+    def add_zeros(v: int, mask: int) -> None:
+        new = mask & ~(ones[v] | zeros[v])
+        if new:
+            zeros[v] |= new
+            pending.add(v)
+            for w in bits(new):
+                zeros[w] |= 1 << v
+                pending.add(w)
 
     # A4 holds unconditionally on safe nets: equation members exclude
     # each other because their sum is bounded by one
     for group in tfg.groups:
-        for i, a in enumerate(group.members):
-            for b in group.members[:i]:
-                if a != b:
-                    set_zero(a, b)
+        members = [index[m] for m in group.members]
+        siblings = sum({1 << m for m in members})
+        for m in members:
+            add_zeros(m, siblings & ~(1 << m))
 
-    # propagation writes only 1s and A4's zeros are queued already, so the
-    # other decided zeros, the closure's remaining seeds, sit between roots
-    for i, a in enumerate(roots):
-        for b in roots[:i + 1]:
-            if matrix.value(a, b) == 0:
-                queue.append((a, b))
-
-    def pop() -> tuple[Node, Node]:
-        if rng is None:
-            return queue.popleft()
-        k = rng.randrange(len(queue))
-        queue.rotate(-k)
-        item = queue.popleft()
-        queue.rotate(k)
-        return item
-
-    while queue:
-        a, b = pop()
-        if a == b:
-            # A1: spread the dead diagonal across the whole row
-            for w in tfg.nodes:
-                set_zero(a, w)
-            # A3: a dead head kills its members
-            for group in tfg.head_groups_of.get(a, ()):
-                for member in group.members:
-                    set_zero(member, member)
-            # A2: the last member of a group just died, maybe its head too
-            for group in tfg.member_groups_of.get(a, ()):
-                if all(matrix.value(m, m) == 0 for m in group.members):
-                    set_zero(group.head, group.head)
-        else:
-            for u, w in ((a, b), (b, a)):
-                # A6: head nonconcurrent with w, so are the members
-                for group in tfg.head_groups_of.get(u, ()):
-                    for member in group.members:
-                        set_zero(member, w)
-                # A5: all members nonconcurrent with w, so is the head
-                for group in tfg.member_groups_of.get(u, ()):
-                    if all(matrix.value(m, w) == 0 for m in group.members):
-                        set_zero(group.head, w)
+    # A2 and A3 follow from A1, A5 and A6 (see the module docstring)
+    while pending:
+        v = pending.pop()
+        node = tfg.nodes[v]
+        # A1: a dead node is nonconcurrent with everything
+        if zeros[v] >> v & 1:
+            add_zeros(v, everything)
+        # A6: head nonconcurrent with w, so are the members
+        for group in tfg.head_groups_of.get(node, ()):
+            for member in group.members:
+                add_zeros(index[member], zeros[v])
+        # A5: all members nonconcurrent with w, so is the head
+        for group in tfg.member_groups_of.get(node, ()):
+            common = everything
+            for member in group.members:
+                common &= zeros[index[member]]
+            add_zeros(index[group.head], common)
+    matrix.add_zeros(zeros)
     return matrix

@@ -37,6 +37,16 @@ from .errors import BadHeader, BadSymbol, OrderMismatch, RowLengthMismatch
 UNDECIDED = 2
 
 
+def parse_count(text: str) -> int | None:
+    """`text` as a count if it is ASCII digits that `int` converts, else None."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def bits(mask: int) -> Iterator[int]:
     """The indices of the set bits of `mask`, lowest first."""
     while mask:
@@ -109,6 +119,23 @@ class ConcurrencyMatrix:
             if new:
                 ones[i] |= new
                 zeros[i] &= ~new
+                self.write_count += new.bit_count()
+
+    def full_rows(self) -> tuple[list[int], list[int]]:
+        """Copies of the 1-rows and 0-rows, bit j of row i being cell (i, j)."""
+        ones, zeros = list(self._ones), list(self._zeros)
+        for rows in (ones, zeros):
+            for i, row in enumerate(rows):
+                for j in bits(row & ((1 << i) - 1)):
+                    rows[j] |= 1 << i
+        return ones, zeros
+
+    def add_zeros(self, rows: Sequence[int]) -> None:
+        """Set to 0 every undecided cell (i, j), j <= i, with bit j in rows[i]."""
+        for i, row in enumerate(rows):
+            new = row & ((2 << i) - 1) & ~(self._ones[i] | self._zeros[i])
+            if new:
+                self._zeros[i] |= new
                 self.write_count += new.bit_count()
 
     # -- whole-matrix views ---------------------------------------------
@@ -238,12 +265,9 @@ def read_matrix(text: str) -> MatrixDocument:
     lines = text.splitlines()
     if not lines:
         raise BadHeader("empty matrix document")
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
-        raise BadHeader(f"bad node count {lines[0]!r}") from None
-    if n < 0:
-        raise BadHeader(f"negative node count {n}")
+    n = parse_count(lines[0].strip())
+    if n is None:
+        raise BadHeader(f"bad node count {lines[0]!r}")
     if len(lines) < 1 + 2 * n:
         raise BadHeader(f"expected {1 + 2 * n} lines, got {len(lines)}")
     if any(line.strip() for line in lines[1 + 2 * n:]):

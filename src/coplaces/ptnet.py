@@ -24,16 +24,6 @@ DEFAULT_STATE_CAP = 1_000_000
 DEFAULT_TIME_BUDGET = 60.0
 
 
-def parse_count(text: str) -> int | None:
-    """`text` as a count if it is ASCII digits that `int` converts, else None."""
-    if not (text.isascii() and text.isdigit()):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        return None
-
-
 class PetriNet:
     """A place/transition net with weighted flow functions.
 

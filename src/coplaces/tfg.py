@@ -44,7 +44,7 @@ from .errors import (BadConstant, BadShareSum, DuplicateRemoval,
                      EquationSyntaxError, IllDefinedInput, NoTokenAt,
                      NotAgglomeration, NotAncestor, UndefinedAt, UnknownNode,
                      WellFormednessError)
-from .ptnet import parse_count
+from .matrix import parse_count
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,6 @@ class Group:
     tag: str
     head: Node
     members: tuple[Node, ...]
-    index: int
 
 
 class TokenFlowGraph:
@@ -290,7 +289,7 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
             if target in removed_by:
                 raise WellFormednessError("T3", [target])
             removed_by[target] = i
-        groups.append(Group(eq.tag, head, members, i))
+        groups.append(Group(eq.tag, head, members))
 
     # T1: every variable outside P1 and P2 must be agglomeration-inserted
     for name in sorted(system.variables):

@@ -1,11 +1,15 @@
 """End-to-end command line behaviour and exit codes."""
 
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coplaces
 from coplaces.cli import dispatch
@@ -214,6 +218,13 @@ def test_long_constant_message_is_bounded(tmp_path, capsys, fixture_path):
         assert code == 2
         assert message in err
         assert len(err.encode("utf-8")) < 200
+    net = tmp_path / "bad.pnml"
+    marking = f"<initialMarking><text>{'5' * 5000}</text></initialMarking>"
+    net.write_text(_PNML.format(marking=marking, weight=""), encoding="utf-8")
+    code, _, err = run(capsys, "oracle", str(net))
+    assert code == 2
+    assert "initialMarking of 5000 characters" in err
+    assert len(err.encode("utf-8")) < 200
 
 
 def test_timeout_without_output(tmp_path, capsys, fixture_path):
@@ -255,3 +266,36 @@ def test_module_entry_point(fixture_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("7\np0\n")
+
+
+_FIXTURES = Path(__file__).parent / "fixtures"
+_FUZZED = ("m1.net", "m1.eq", "m2.net", "m2.mat")
+
+
+# each edit cuts up to 3 bytes at a position and inserts up to 3 bytes there
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_FUZZED), st.integers(0, 400),
+                          st.integers(0, 3), st.binary(max_size=3)),
+                min_size=1, max_size=4))
+def test_mutated_inputs_exit_with_documented_codes(edits):
+    with tempfile.TemporaryDirectory() as tmp, \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        files = {name: str(Path(tmp, name)) for name in _FUZZED}
+        for name in _FUZZED[:3]:
+            Path(files[name]).write_bytes((_FIXTURES / name).read_bytes())
+        truth = str(Path(tmp, "truth.mat"))
+        assert dispatch(["oracle", files["m2.net"], "-o", truth]) == 0
+        Path(files["m2.mat"]).write_bytes(Path(truth).read_bytes())
+        for name, pos, cut, insert in edits:
+            data = Path(files[name]).read_bytes()
+            pos %= len(data) + 1
+            Path(files[name]).write_bytes(data[:pos] + insert + data[pos + cut:])
+
+        m1, eq, m2, mat = (files[name] for name in _FUZZED)
+        pipeline = ["matrix", m1, "--equations", eq, "--reduced", m2]
+        for argv in (["reduce", m1, "-o", str(Path(tmp, "out"))],
+                     ["check-tfg", m1, m2, eq],
+                     ["compare", mat, truth],
+                     pipeline + ["--oracle"],
+                     pipeline + ["--rel2", mat, "--partial"]):
+            assert dispatch(argv) in range(6), argv

@@ -2,12 +2,13 @@
 
 import hashlib
 import random
+from collections import deque
 
 import pytest
 
 from coplaces.errors import IncompleteRootRelation, InvalidRootRelation
-from coplaces.kernel import (PropagationStats, RootRelation, matrix_complete,
-                             matrix_partial, propagate_node)
+from coplaces.kernel import (PropagationStats, RootRelation, _propagate_roots,
+                             matrix_complete, matrix_partial, propagate_node)
 from coplaces.formats import write_net_text
 from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
                              bits, write_matrix)
@@ -133,7 +134,121 @@ def test_matrix_partial_constant_pairing(seq2):
     assert C.value("a", "a") == 1
 
 
-def test_partial_axioms_confluent(safe_net_corpus):
+def _reference_partial(tfg, rel2, rng=None):
+    """The cell-worklist zero closure that `matrix_partial` replaced.
+
+    Each decided-zero cell is queued once and runs all six axioms; `rng`,
+    when given, pops the queue in a random order.
+    """
+    matrix = ConcurrencyMatrix(tfg.nodes, fill=UNDECIDED)
+    roots = tfg.roots
+    for i, a in enumerate(roots):
+        for b in roots[:i + 1]:
+            value = rel2.value(a, b)
+            if value != UNDECIDED:
+                matrix.set_value(a, b, value)
+    _propagate_roots(tfg, rel2, matrix)
+
+    queue = deque()
+
+    def set_zero(a, b):
+        if matrix.value(a, b) == UNDECIDED:
+            matrix.set_value(a, b, 0)
+            queue.append((a, b))
+
+    for group in tfg.groups:                                    # A4
+        for i, a in enumerate(group.members):
+            for b in group.members[:i]:
+                if a != b:
+                    set_zero(a, b)
+    for i, a in enumerate(roots):
+        for b in roots[:i + 1]:
+            if matrix.value(a, b) == 0:
+                queue.append((a, b))
+
+    def pop():
+        if rng is None:
+            return queue.popleft()
+        k = rng.randrange(len(queue))
+        queue.rotate(-k)
+        item = queue.popleft()
+        queue.rotate(k)
+        return item
+
+    while queue:
+        a, b = pop()
+        if a == b:
+            for w in tfg.nodes:                                 # A1
+                set_zero(a, w)
+            for group in tfg.head_groups_of.get(a, ()):         # A3
+                for member in group.members:
+                    set_zero(member, member)
+            for group in tfg.member_groups_of.get(a, ()):       # A2
+                if all(matrix.value(m, m) == 0 for m in group.members):
+                    set_zero(group.head, group.head)
+        else:
+            for u, w in ((a, b), (b, a)):
+                for group in tfg.head_groups_of.get(u, ()):     # A6
+                    for member in group.members:
+                        set_zero(member, w)
+                for group in tfg.member_groups_of.get(u, ()):   # A5
+                    if all(matrix.value(m, w) == 0 for m in group.members):
+                        set_zero(group.head, w)
+    return matrix
+
+
+def _random_root_cells(rng, tfg, related_dead=0.0):
+    """Random root cells; a cell of a root decided dead is 1 only with
+    chance `related_dead`."""
+    cells = ConcurrencyMatrix(tfg.roots, fill=UNDECIDED)
+    n = len(tfg.roots)
+    for i in range(n):
+        cells.set_at(i, i, rng.choice((0, 1, UNDECIDED)))
+    for i in range(n):
+        for j in range(i):
+            dead = 0 in (cells.value_at(i, i), cells.value_at(j, j))
+            cells.set_at(i, j, rng.choice(
+                (0, UNDECIDED) if dead and rng.random() >= related_dead
+                else (0, 1, UNDECIDED)))
+    return cells
+
+
+def _reference_normalize(roots, cells):
+    """The cell loops `RootRelation` normalised its cells with before."""
+    for a in roots:
+        row_one = any(cells.value(a, b) == 1 for b in roots)
+        diag = cells.value(a, a)
+        if diag == 0 and row_one:
+            raise InvalidRootRelation(f"root '{a}' is dead yet related")
+        if diag == UNDECIDED and row_one:
+            cells.set_value(a, a, 1)
+    for a in roots:
+        if cells.value(a, a) == 0:
+            for b in roots:
+                if cells.value(a, b) == UNDECIDED:
+                    cells.set_value(a, b, 0)
+
+
+def test_root_relation_normalizes_like_cell_loops(tfg_corpus):
+    rng = random.Random(5)
+    raised = 0
+    for tfg in tfg_corpus(72, 200):
+        cells = _random_root_cells(rng, tfg, related_dead=0.05)
+        rows, reference = cells.copy(), cells.copy()
+        try:
+            _reference_normalize(tfg.roots, reference)
+        except InvalidRootRelation as exc:
+            raised += 1
+            with pytest.raises(InvalidRootRelation) as err:
+                RootRelation(tfg, rows)
+            assert str(err.value) == str(exc)
+            continue
+        assert RootRelation(tfg, rows).cells == reference
+        assert rows.write_count == reference.write_count
+    assert 0 < raised < 100
+
+
+def _blanked_relations(safe_net_corpus, tfg_corpus):
     rng = random.Random(13)
     for doc in safe_net_corpus(61, 25):
         result = reduce_net(doc)
@@ -145,12 +260,20 @@ def test_partial_axioms_confluent(safe_net_corpus):
             for b in reduced.order[:i + 1]:
                 if rng.random() < 0.5:
                     masked.set_value(a, b, UNDECIDED)
-        rel2 = RootRelation.from_reduced_matrix(tfg, masked)
-        reference = matrix_partial(tfg, rel2)
-        for attempt in range(4):
-            shuffled = matrix_partial(tfg, rel2,
-                                      rng=random.Random(1000 + attempt))
-            assert shuffled == reference
+        yield tfg, RootRelation.from_reduced_matrix(tfg, masked)
+    for tfg in tfg_corpus(71, 200):
+        yield tfg, RootRelation(tfg, _random_root_cells(rng, tfg))
+
+
+def test_partial_axioms_confluent(safe_net_corpus, tfg_corpus):
+    # the row closure reaches the fixpoint of the cell worklist, whatever
+    # order the worklist pops its cells in, with the same effective writes
+    for tfg, rel2 in _blanked_relations(safe_net_corpus, tfg_corpus):
+        rows = matrix_partial(tfg, rel2)
+        for shuffle in (None, *(random.Random(1000 + k) for k in range(4))):
+            cells = _reference_partial(tfg, rel2, shuffle)
+            assert rows == cells
+            assert rows.write_count == cells.write_count
 
 
 def test_partial_accuracy_contract(safe_net_corpus):

@@ -70,6 +70,10 @@ def test_read_matrix_errors():
     assert err.value.row == 1
     with pytest.raises(BadHeader):
         read_matrix("two\na\nb\n")
+    # int() reads each of these as 1; a count is ASCII digits only
+    for count in ("+1", "١", "0_1"):
+        with pytest.raises(BadHeader):
+            read_matrix(f"{count}\na\n1\n")
     with pytest.raises(BadHeader):
         read_matrix("2\na\nb\n1\n01\nextra\n")
     with pytest.raises(BadSymbol):

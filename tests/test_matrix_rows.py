@@ -1,8 +1,9 @@
 """The bit-row matrix core against cell-by-cell references.
 
-Each row operation of `ConcurrencyMatrix` (`relate`, `restrict`, `copy`)
-and each row-wise reader (`compare_matrices`, `read_matrix`) is checked on
-seeded random cases against the cell loop it replaces.
+Each row operation of `ConcurrencyMatrix` (`relate`, `full_rows`,
+`add_zeros`, `restrict`, `copy`) and each row-wise reader
+(`compare_matrices`, `read_matrix`) is checked on seeded random cases
+against the cell loop it replaces.
 """
 
 import random
@@ -65,6 +66,50 @@ def test_relate_matches_set_at_double_loop(seed):
                 assert _cells(fast) == _cells(slow)
                 assert fast == slow
                 assert fast.write_count == slow.write_count
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_full_rows_match_value_at(seed):
+    rng = random.Random(seed)
+    for n in (0, 1, 7, 40, 70):
+        matrix = _random_matrix(rng, n)
+        before = _cells(matrix)
+        ones, zeros = matrix.full_rows()
+        assert len(ones) == len(zeros) == n
+        for i in range(n):
+            assert ones[i] >> n == zeros[i] >> n == 0
+            for j in range(n):
+                value = matrix.value_at(i, j)
+                assert ones[i] >> j & 1 == (value == 1)
+                assert zeros[i] >> j & 1 == (value == 0)
+        # the rows are copies: changing them leaves the matrix as it was
+        ones[:] = zeros[:] = [(1 << n) - 1] * n
+        assert _cells(matrix) == before
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_add_zeros_matches_set_at_loop(seed):
+    rng = random.Random(seed)
+    for n in (1, 2, 7, 40, 70):
+        full = (1 << n) - 1
+        starts = (ConcurrencyMatrix(_order(n), fill=1),
+                  ConcurrencyMatrix(_order(n), fill=UNDECIDED),
+                  _random_matrix(rng, n))
+        for start in starts:
+            for rows in ([0] * n, [full] * n,
+                         [rng.getrandbits(n) for _ in range(n)]):
+                fast, slow = start.copy(), start.copy()
+                fast.add_zeros(rows)
+                for i in range(n):
+                    for j in range(i + 1):
+                        if rows[i] >> j & 1 and slow.value_at(i, j) == UNDECIDED:
+                            slow.set_at(i, j, 0)
+                assert fast == slow
+                assert fast.write_count == slow.write_count
+                for i in range(n):
+                    for j in range(i + 1):
+                        if start.value_at(i, j) == 1:
+                            assert fast.value_at(i, j) == 1
 
 
 def _reference_report(a, b):
