@@ -88,13 +88,14 @@ def _matrix_text(matrix, order, encoding: str) -> str:
 def _cmd_reduce(args) -> int:
     doc = load_net(args.net)
     result = reduce_net(doc)
+    # both texts first: a name neither format reads back writes no file
+    net_text = write_net_text(result.residual)
+    eq_text = write_equation_system(result.equations)
     stem = Path(args.net).stem
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_output(write_net_text(result.residual),
-                  str(out_dir / f"{stem}.reduced.net"))
-    _write_output(write_equation_system(result.equations),
-                  str(out_dir / f"{stem}.eq"))
+    _write_output(net_text, str(out_dir / f"{stem}.reduced.net"))
+    _write_output(eq_text, str(out_dir / f"{stem}.eq"))
     ratio = result.ratio
     sys.stdout.write(f"reduction ratio: {ratio.numerator}/{ratio.denominator}\n")
     return EXIT_OK

@@ -8,6 +8,26 @@ violate a semantic requirement such as safeness or graph well-formedness
 
 from __future__ import annotations
 
+#: Texts longer than this are named by their length in messages.
+SHOWN_LENGTH = 20
+#: Node lists in messages show this many nodes, then "and N more".
+SHOWN_NODES = 5
+
+
+def shown(text, unit: str = "characters", quote: str = "'",
+          noun: str = "") -> str:
+    """`text` as a message quotes it, or its length once it is long.
+
+    Names and literals that a message copies from an input go through
+    here, so a long one cannot make the message longer than a line. The
+    long form, ``{noun}of {length} {unit}``, follows a noun in the message
+    or names one itself.
+    """
+    text = str(text)
+    if len(text) <= SHOWN_LENGTH:
+        return f"{quote}{text}{quote}"
+    return f"{noun}of {len(text)} {unit}"
+
 
 class CoplacesError(Exception):
     """Base class of every error raised by this package."""
@@ -65,7 +85,7 @@ class DuplicateId(InputFormatError):
 
     def __init__(self, name: str, line: int | None = None):
         at = f" (line {line})" if line is not None else ""
-        super().__init__(f"duplicate identifier '{name}'{at}")
+        super().__init__(f"duplicate identifier {shown(name)}{at}")
         self.name = name
 
 
@@ -74,7 +94,17 @@ class UnknownPlace(InputFormatError):
 
     def __init__(self, name: str, line: int | None = None):
         at = f" (line {line})" if line is not None else ""
-        super().__init__(f"unknown place '{name}'{at}")
+        super().__init__(f"unknown place {shown(name)}{at}")
+        self.name = name
+
+
+class UnwritableName(InputFormatError):
+    """A name that the net or equation text would not read back as itself."""
+
+    def __init__(self, name: str):
+        super().__init__(f"identifier {shown(name)} cannot be written as text:"
+                         " it must be one token without '#', '*', '+' or '=',"
+                         " and not '->' or a number")
         self.name = name
 
 
@@ -93,9 +123,8 @@ class BadConstant(InputFormatError):
     """Constant outside {0, 1} in an equation."""
 
     def __init__(self, value: int):
-        digits = str(value)
-        shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
-        super().__init__(f"constant {shown} not allowed, only 0 and 1 are")
+        super().__init__(f"constant {shown(value, 'digits', quote='')}"
+                         " not allowed, only 0 and 1 are")
         self.value = value
 
 
@@ -104,7 +133,7 @@ class DuplicateRemoval(AnalysisError):
 
     def __init__(self, node):
         super().__init__(
-            f"node '{node}' is removed by more than one equation"
+            f"node {shown(node)} is removed by more than one equation"
             " (violates single-removal condition T3)")
         self.node = node
 
@@ -114,10 +143,13 @@ class WellFormednessError(AnalysisError):
 
     def __init__(self, condition: str, nodes, detail: str = ""):
         nodes = tuple(nodes)
-        shown = ", ".join(str(n) for n in nodes)
+        listed = [shown(n, quote="", noun="a node ")
+                  for n in nodes[:SHOWN_NODES]]
+        if len(nodes) > SHOWN_NODES:
+            listed.append(f"and {len(nodes) - SHOWN_NODES} more")
         extra = f": {detail}" if detail else ""
         super().__init__(f"well-formedness condition {condition} violated"
-                         f" by {{{shown}}}{extra}")
+                         f" by {{{', '.join(listed)}}}{extra}")
         self.condition = condition
         self.nodes = nodes
 
@@ -134,7 +166,7 @@ class IllDefinedInput(CoplacesError):
 
 class UndefinedAt(CoplacesError):
     def __init__(self, node):
-        super().__init__(f"configuration is undefined at node '{node}'")
+        super().__init__(f"configuration is undefined at node {shown(node)}")
         self.node = node
 
 
@@ -144,7 +176,7 @@ class NotAncestor(CoplacesError):
 
 class NotAgglomeration(CoplacesError):
     def __init__(self, node):
-        super().__init__(f"node '{node}' heads no agglomeration equation")
+        super().__init__(f"node {shown(node)} heads no agglomeration equation")
         self.node = node
 
 
@@ -154,7 +186,7 @@ class BadShareSum(CoplacesError):
 
 class NoTokenAt(CoplacesError):
     def __init__(self, node):
-        super().__init__(f"no token at node '{node}'")
+        super().__init__(f"no token at node {shown(node)}")
         self.node = node
 
 

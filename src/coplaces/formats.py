@@ -26,8 +26,9 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from .errors import (DuplicateId, InputFormatError, MalformedNet,
-                     NetSyntaxError, UnknownPlace, UnsupportedNet)
-from .matrix import parse_count
+                     NetSyntaxError, UnknownPlace, UnsupportedNet,
+                     UnwritableName, shown)
+from .matrix import parse_count, writable_name
 from .ptnet import PetriNet
 
 
@@ -53,8 +54,15 @@ def _term(place: str, weight: int) -> str:
 
 
 def write_net_text(doc: NetDocument) -> str:
-    """Serialize to the textual format; inverse of `parse_net_text`."""
+    """Serialize to the textual format; inverse of `parse_net_text`.
+
+    Raises `UnwritableName` for a place or transition name that would not
+    read back as itself.
+    """
     net = doc.net
+    for name in (*net.places, *net.transitions):
+        if not writable_name(name):
+            raise UnwritableName(name)
     lines = []
     for p in net.places:
         n = doc.initial[p]
@@ -171,8 +179,8 @@ def parse_pnml(data) -> NetDocument:
     elif _local(root.tag) == "net":
         nets = [root]
     else:
-        raise MalformedNet(f"expected a <pnml> or <net> root,"
-                           f" found <{_local(root.tag)}>")
+        tag = shown(_local(root.tag), quote="", noun="a tag ")
+        raise MalformedNet(f"expected a <pnml> or <net> root, found <{tag}>")
     if not nets:
         raise MalformedNet("no <net> element")
     if len(nets) > 1:
@@ -181,15 +189,16 @@ def parse_pnml(data) -> NetDocument:
 
     net_type = net_elem.get("type", "")
     if any(marker in net_type.lower() for marker in ("symmetric", "highlevel")):
-        raise UnsupportedNet(f"net type '{net_type}'")
+        raise UnsupportedNet(f"net type {shown(net_type)}")
 
     pages = [child for child in net_elem if _local(child.tag) == "page"]
     if len(pages) > 1:
         extra = pages[1].get("id", "<anonymous>")
-        raise UnsupportedNet(f"multiple pages, e.g. page '{extra}'")
+        raise UnsupportedNet(f"multiple pages, e.g. page {shown(extra)}")
     for page in pages:
         if any(_local(child.tag) == "page" for child in page):
-            raise UnsupportedNet(f"nested page under '{page.get('id')}'")
+            raise UnsupportedNet("nested page under"
+                                 f" {shown(page.get('id'), noun='a page ')}")
     containers = [net_elem] + pages
 
     places: list[str] = []
@@ -203,7 +212,7 @@ def parse_pnml(data) -> NetDocument:
         if not ident:
             raise MalformedNet(f"<{_local(elem.tag)}> element without an id")
         if ident in ids:
-            raise MalformedNet(f"duplicate id '{ident}'")
+            raise MalformedNet(f"duplicate id {shown(ident)}")
         ids.add(ident)
         return ident
 
@@ -215,11 +224,11 @@ def parse_pnml(data) -> NetDocument:
         text = _text_of(node)
         value = parse_count(text)
         if value is None:
-            shown = f"'{text}'" if len(text) <= 20 else f"of {len(text)} characters"
-            raise MalformedNet(f"non-integer {what} {shown} on '{elem.get('id')}'")
+            raise MalformedNet(f"non-integer {what} {shown(text)}"
+                               f" on {shown(elem.get('id'), noun='an id ')}")
         if value < minimum:
             raise MalformedNet(f"{what} {value} below {minimum}"
-                               f" on '{elem.get('id')}'")
+                               f" on {shown(elem.get('id'), noun='an id ')}")
         return value
 
     for container in containers:
@@ -230,7 +239,7 @@ def parse_pnml(data) -> NetDocument:
                 for child in elem:
                     if _local(child.tag) in _COLORED_MARKERS:
                         raise UnsupportedNet(f"<{_local(child.tag)}>"
-                                             f" on place '{ident}'")
+                                             f" on place {shown(ident)}")
                 places.append(ident)
                 marking[ident] = int_annotation(elem, "initialMarking", 0, 0)
             elif kind == "transition":
@@ -238,22 +247,22 @@ def parse_pnml(data) -> NetDocument:
                 for child in elem:
                     if _local(child.tag) in _COLORED_MARKERS:
                         raise UnsupportedNet(f"<{_local(child.tag)}>"
-                                             f" on transition '{ident}'")
+                                             f" on transition {shown(ident)}")
                 transitions.append(ident)
             elif kind == "arc":
                 ident = elem.get("id", f"{elem.get('source')}->{elem.get('target')}")
                 source, target = elem.get("source"), elem.get("target")
                 if not source or not target:
-                    raise MalformedNet(f"arc '{ident}' lacks source or target")
+                    raise MalformedNet(f"arc {shown(ident)} lacks source or target")
                 for child in elem:
                     local = _local(child.tag)
                     if local == "type":
                         value = _text_of(child) or child.get("value", "")
                         if value and value != "normal":
-                            raise UnsupportedNet(f"arc '{ident}'"
-                                                 f" of type '{value}'")
+                            raise UnsupportedNet(f"arc {shown(ident)}"
+                                                 f" of type {shown(value)}")
                     elif local in _COLORED_MARKERS:
-                        raise UnsupportedNet(f"<{local}> on arc '{ident}'")
+                        raise UnsupportedNet(f"<{local}> on arc {shown(ident)}")
                 weight = int_annotation(elem, "inscription", 1, 1)
                 arcs.append((ident, source, target, weight))
             # name/graphics/toolspecific and the like carry no semantics
@@ -268,7 +277,7 @@ def parse_pnml(data) -> NetDocument:
         elif source in transition_set and target in place_set:
             flow, key = post[source], target
         else:
-            raise MalformedNet(f"arc '{ident}' does not connect a place"
+            raise MalformedNet(f"arc {shown(ident)} does not connect a place"
                                f" and a transition")
         flow[key] = flow.get(key, 0) + weight
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import IncompleteRootRelation, InvalidRootRelation
+from .errors import IncompleteRootRelation, InvalidRootRelation, shown
 from .formats import NetDocument
 from .matrix import UNDECIDED, ConcurrencyMatrix, MatrixDocument, bits
 from .ptnet import DEFAULT_STATE_CAP, DEFAULT_TIME_BUDGET, oracle_matrix
@@ -78,7 +78,7 @@ class RootRelation:
         for i, root in enumerate(self.tfg.roots):
             if zeros[i] >> i & 1:
                 if ones[i]:
-                    raise InvalidRootRelation(f"root '{root}' is dead yet related")
+                    raise InvalidRootRelation(f"root {shown(root)} is dead yet related")
                 dead |= 1 << i
             elif ones[i]:
                 self.cells.set_at(i, i, 1)

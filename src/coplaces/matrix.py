@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadHeader, BadSymbol, OrderMismatch, RowLengthMismatch
+from .errors import (BadHeader, BadSymbol, OrderMismatch, RowLengthMismatch,
+                     shown)
 
 #: Cell value for "relation not decided yet".
 UNDECIDED = 2
@@ -45,6 +46,20 @@ def parse_count(text: str) -> int | None:
         return int(text)
     except ValueError:
         return None
+
+
+_NOT_IN_NAMES = re.compile(r"[\s#*+=]")
+
+
+def writable_name(name: str) -> bool:
+    """Whether `name` reads back as itself from the net and equation texts.
+
+    A name is one token without the comment sign `#`, the weight sign `*`
+    or the equation signs `+` and `=`; it is not the arrow `->`, and it is
+    no number, which the equation text would read as a constant.
+    """
+    return (bool(name) and not _NOT_IN_NAMES.search(name)
+            and name != "->" and not name.isdigit())
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -267,7 +282,7 @@ def read_matrix(text: str) -> MatrixDocument:
         raise BadHeader("empty matrix document")
     n = parse_count(lines[0].strip())
     if n is None:
-        raise BadHeader(f"bad node count {lines[0]!r}")
+        raise BadHeader(f"bad node count {shown(lines[0])}")
     if len(lines) < 1 + 2 * n:
         raise BadHeader(f"expected {1 + 2 * n} lines, got {len(lines)}")
     if any(line.strip() for line in lines[1 + 2 * n:]):

@@ -16,6 +16,12 @@ given input always yields the same residual net and equation file:
   producer of q, q initially empty; p and q fuse into a fresh place x
   with ``A |- x = p + q``, and t disappears.
 
+Each pass applies one rule once. It first derives every place's sparse
+column ``{t: (pre, post)}`` (the transitions touching it, in transition
+order) in one sweep over the arcs, and the rules read only columns;
+duplicates are found by grouping places on (marking, column). A pass
+costs O(arcs), and a net of P places needs at most P passes.
+
 Richer reducers exist; the point of keeping this catalogue small is that
 the downstream reconstruction accepts externally produced equation files
 just as well, so anything emitting the same equation shapes can be
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Optional
 
 from .formats import NetDocument
@@ -66,56 +73,50 @@ class _Reducer:
         self.pre = {t: dict(doc.net.pre[t]) for t in self.transitions}
         self.post = {t: dict(doc.net.post[t]) for t in self.transitions}
         self.equations: list[Equation] = []
-        self.used_names = set(doc.net.places) | set(doc.net.transitions)
-        self._fresh_counter = 0
+        taken = set(doc.net.places) | set(doc.net.transitions)
+        self.fresh_names = (name for name in (f"a{k}" for k in count(1))
+                            if name not in taken)
 
-    # -- helpers --------------------------------------------------------
+    def columns(self) -> dict[str, dict[str, tuple[int, int]]]:
+        """Every place's sparse column {t: (pre, post)}, in transition order."""
+        cols: dict[str, dict[str, tuple[int, int]]] = {p: {} for p in self.places}
+        for t in self.transitions:
+            for p, w in self.pre[t].items():
+                cols[p][t] = (w, self.post[t].get(p, 0))
+            for p, w in self.post[t].items():
+                cols[p].setdefault(t, (0, w))
+        return cols
 
-    def fresh_name(self) -> str:
-        while True:
-            self._fresh_counter += 1
-            name = f"a{self._fresh_counter}"
-            if name not in self.used_names:
-                self.used_names.add(name)
-                return name
-
-    def column(self, p: str):
-        return tuple((self.pre[t].get(p, 0), self.post[t].get(p, 0))
-                     for t in self.transitions)
-
-    def drop_place(self, p: str) -> None:
+    def drop_place(self, p: str, col: dict[str, tuple[int, int]]) -> None:
         self.places.remove(p)
         del self.marking[p]
-        for t in self.transitions:
+        for t in col:
             self.pre[t].pop(p, None)
             self.post[t].pop(p, None)
 
-    # -- rules ----------------------------------------------------------
-
-    def apply_duplicate(self) -> bool:
-        for i, p in enumerate(self.places):
-            col = self.column(p)
-            for q in self.places[i + 1:]:
-                if self.marking[q] == self.marking[p] and self.column(q) == col:
-                    self.drop_place(q)
-                    self.equations.append(Equation("R", q, (p,)))
-                    return True
+    def apply_duplicate(self, cols) -> bool:
+        classes: dict[tuple, list[str]] = {}
+        for p in self.places:
+            classes.setdefault((self.marking[p], tuple(cols[p].items())),
+                               []).append(p)
+        for p, *twins in classes.values():
+            if twins:
+                self.drop_place(twins[0], cols[twins[0]])
+                self.equations.append(Equation("R", twins[0], (p,)))
+                return True
         return False
 
-    def apply_constant(self) -> bool:
+    def apply_constant(self, cols) -> bool:
         for p in self.places:
             k = self.marking[p]
-            if k not in (0, 1):
-                continue
-            if all(self.pre[t].get(p, 0) == self.post[t].get(p, 0) <= k
-                   for t in self.transitions):
-                self.drop_place(p)
+            if k in (0, 1) and all(w == v <= k for w, v in cols[p].values()):
+                self.drop_place(p, cols[p])
                 self.equations.append(Equation("R", p, (k,)))
                 return True
         return False
 
-    def _chain_at(self, p: str) -> Optional[tuple[str, str]]:
-        consumers = [t for t in self.transitions if self.pre[t].get(p, 0) > 0]
+    def _chain_at(self, p: str, cols) -> Optional[tuple[str, str]]:
+        consumers = [t for t, (w, _) in cols[p].items() if w]
         if len(consumers) != 1:
             return None
         t = consumers[0]
@@ -124,27 +125,25 @@ class _Reducer:
         (q, weight), = self.post[t].items()
         if weight != 1 or q == p or self.marking[q] != 0:
             return None
-        producers = [u for u in self.transitions if self.post[u].get(q, 0) > 0]
-        if producers != [t]:
+        if [u for u, (_, w) in cols[q].items() if w] != [t]:
             return None
         return t, q
 
-    def apply_chain(self) -> bool:
+    def apply_chain(self, cols) -> bool:
         for p in self.places:
-            found = self._chain_at(p)
+            found = self._chain_at(p, cols)
             if found is None:
                 continue
             t, q = found
-            x = self.fresh_name()
-            # x inherits p's producers and q's consumers; nothing else can
-            # touch p or q by the uniqueness conditions
+            x = next(self.fresh_names)
+            # x inherits p's producers and q's consumers: besides t, q's
+            # column holds only consumers of q and p's only producers of p
+            del cols[p][t], cols[q][t], self.pre[t], self.post[t]
             self.transitions.remove(t)
-            del self.pre[t], self.post[t]
-            for u in self.transitions:
-                if q in self.pre[u]:
-                    self.pre[u][x] = self.pre[u].pop(q)
-                if p in self.post[u]:
-                    self.post[u][x] = self.post[u].pop(p)
+            for u in cols[q]:
+                self.pre[u][x] = self.pre[u].pop(q)
+            for u in cols[p]:
+                self.post[u][x] = self.post[u].pop(p)
             self.marking[x] = self.marking[p]
             self.places.remove(p)
             self.places.remove(q)
@@ -155,14 +154,11 @@ class _Reducer:
         return False
 
     def run(self) -> None:
-        while (self.apply_duplicate()
-               or self.apply_constant()
-               or self.apply_chain()):
-            pass
-
-    def residual(self) -> NetDocument:
-        net = PetriNet(self.places, self.transitions, self.pre, self.post)
-        return NetDocument(net, net.make_marking(self.marking))
+        while True:
+            cols = self.columns()
+            if not (self.apply_duplicate(cols) or self.apply_constant(cols)
+                    or self.apply_chain(cols)):
+                return
 
 
 def reduce_net(doc: NetDocument) -> ReductionResult:
@@ -174,7 +170,9 @@ def reduce_net(doc: NetDocument) -> ReductionResult:
     """
     reducer = _Reducer(doc)
     reducer.run()
-    residual = reducer.residual()
+    net = PetriNet(reducer.places, reducer.transitions, reducer.pre,
+                   reducer.post)
+    residual = NetDocument(net, net.make_marking(reducer.marking))
     return ReductionResult(
         original=doc,
         residual=residual,

@@ -43,8 +43,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .errors import (BadConstant, BadShareSum, DuplicateRemoval,
                      EquationSyntaxError, IllDefinedInput, NoTokenAt,
                      NotAgglomeration, NotAncestor, UndefinedAt, UnknownNode,
-                     WellFormednessError)
-from .matrix import parse_count
+                     UnwritableName, WellFormednessError, shown)
+from .matrix import parse_count, writable_name
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def _parse_term(token: str, lineno: int) -> Term:
             raise EquationSyntaxError(lineno, "constant is not a decimal count")
         return value            # `Equation` checks that it is 0 or 1
     if not token or "+" in token or "=" in token:
-        raise EquationSyntaxError(lineno, f"bad term {token!r}")
+        raise EquationSyntaxError(lineno, f"bad term {shown(token)}")
     return token
 
 
@@ -168,7 +168,7 @@ def parse_equation_system(text: str) -> EquationSystem:
             raise EquationSyntaxError(lineno)
         tag, lhs, rhs = match.groups()
         if tag not in ("R", "A"):
-            raise EquationSyntaxError(lineno, f"bad tag {tag!r}")
+            raise EquationSyntaxError(lineno, f"bad tag {shown(tag)}")
         defined = _parse_term(lhs, lineno)
         parts = tuple(_parse_term(token.strip(), lineno)
                       for token in rhs.split("+"))
@@ -180,7 +180,13 @@ def parse_equation_system(text: str) -> EquationSystem:
 
 
 def write_equation_system(system: EquationSystem) -> str:
-    """Serialize equations in the same line format `parse_equation_system` reads."""
+    """Serialize equations in the same line format `parse_equation_system` reads.
+
+    Raises `UnwritableName` for a name that would not read back as itself.
+    """
+    for name in sorted(system.variables):
+        if not writable_name(name):
+            raise UnwritableName(name)
     lines = [str(eq) for eq in system]
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -225,7 +231,7 @@ class TokenFlowGraph:
 def successors(tfg: TokenFlowGraph, v: Node) -> frozenset[Node]:
     """Reflexive-transitive closure of v over both arc kinds."""
     if v not in tfg.index:
-        raise UnknownNode(f"'{v}' is not a node of the graph")
+        raise UnknownNode(f"{shown(v)} is not a node of the graph")
     cache = tfg._succ_cache
     # resolve bottom-up along an explicit stack; no recursion
     stack = [v]

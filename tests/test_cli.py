@@ -227,6 +227,90 @@ def test_long_constant_message_is_bounded(tmp_path, capsys, fixture_path):
     assert len(err.encode("utf-8")) < 200
 
 
+def _pnml(places, transitions):
+    """A PNML net: `places` maps id to marking, `transitions` id to (pre, post)."""
+    out = ['<pnml><net id="n">']
+    for place, tokens in places.items():
+        marking = (f"<initialMarking><text>{tokens}</text></initialMarking>"
+                   if tokens else "")
+        out.append(f'<place id="{place}">{marking}</place>')
+    for t, (pre, post) in transitions.items():
+        out.append(f'<transition id="{t}"/>')
+        out += [f'<arc id="{p}.{t}" source="{p}" target="{t}"/>' for p in pre]
+        out += [f'<arc id="{t}.{p}" source="{t}" target="{p}"/>' for p in post]
+    return "".join(out) + "</net></pnml>"
+
+
+def _irreducible_fork(p0, p3):
+    # the irreducible fork net of test_reductions.py, two places renamed
+    return _pnml({p0: 1, "p1": 0, "p2": 0, p3: 0},
+                 {"t": ([p0], ["p1", "p2"]), "u": (["p1", "p2"], [p3]),
+                  "x": (["p1"], ["p1"])})
+
+
+@pytest.mark.parametrize("name, text, shown", [
+    ("fork.pnml", _irreducible_fork("p#0", "p3"), "'p#0'"),
+    ("fork.pnml", _irreducible_fork("p0", "p 3"), "'p 3'"),
+    ("five.net", "pl 5 1\npl q\ntr t : 5 -> q\n", "'5'"),
+], ids=["hash", "space", "number"])
+def test_reduce_rejects_names_its_outputs_cannot_hold(tmp_path, capsys, name,
+                                                      text, shown):
+    net = tmp_path / name
+    net.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "reduce", str(net), "-o", str(out))
+    assert code == 2 and stdout == ""
+    assert f"identifier {shown} cannot be written as text" in err
+    assert not out.exists()
+    # the net itself is fine for every command that writes no net text
+    code, _, _ = run(capsys, "oracle", str(net))
+    assert code == 0
+    code, _, _ = run(capsys, "matrix", str(net))
+    assert code == 0
+
+
+_LONG = "n" * 5000
+
+
+def _cycle_files(tmp_path):
+    nodes = [f"n{i}" for i in range(2000)]
+    (tmp_path / "cycle.net").write_text("".join(f"pl {v}\n" for v in nodes))
+    (tmp_path / "empty.net").write_text("")
+    (tmp_path / "cycle.eq").write_text(
+        "".join(f"# R |- {v} = {nodes[i - 1]}\n" for i, v in enumerate(nodes)))
+    return ("check-tfg", str(tmp_path / "cycle.net"),
+            str(tmp_path / "empty.net"), str(tmp_path / "cycle.eq"))
+
+
+@pytest.mark.parametrize("name, text, code, message", [
+    ("twice.net", f"pl {_LONG}\npl {_LONG}\n", 2,
+     "duplicate identifier of 5000 characters (line 2)"),
+    ("unknown.net", f"pl a\ntr t : {_LONG} -> a\n", 2,
+     "unknown place of 5000 characters (line 2)"),
+    ("marking.pnml", _pnml({_LONG: "x"}, {}), 2,
+     "non-integer initialMarking 'x' on an id of 5000 characters"),
+    ("twice.pnml", _pnml({_LONG: 0, "t": 0}, {_LONG: ([], [])}), 2,
+     "duplicate id of 5000 characters"),
+    ("arc.pnml", _pnml({"a": 0}, {"t": (["a"], [_LONG])}), 2,
+     "arc of 5002 characters does not connect"),
+    ("cycle", None, 3,
+     "well-formedness condition Cycle violated by"
+     " {n0, n1, n2, n3, n4, and 1995 more}"),
+], ids=["text-duplicate", "text-unknown", "pnml-marking", "pnml-duplicate",
+        "pnml-arc", "equation-cycle"])
+def test_echoed_identifiers_are_bounded(tmp_path, capsys, name, text, code,
+                                        message):
+    if text is None:
+        argv = _cycle_files(tmp_path)
+    else:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = ("oracle", str(tmp_path / name))
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert message in err
+    assert len(err.encode("utf-8")) < 200
+
+
 def test_timeout_without_output(tmp_path, capsys, fixture_path):
     code, _, err = run(capsys, "matrix", fixture_path("m1.net"),
                        "--cap", "2")

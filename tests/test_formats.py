@@ -5,9 +5,15 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coplaces.errors import (DuplicateId, MalformedNet, NetSyntaxError,
-                             UnknownPlace, UnsupportedNet)
-from coplaces.formats import (parse_net_text, parse_pnml, write_net_text)
+from coplaces.errors import (CoplacesError, DuplicateId, MalformedNet,
+                             NetSyntaxError, UnknownPlace, UnsupportedNet,
+                             UnwritableName)
+from coplaces.formats import (NetDocument, parse_net_text, parse_pnml,
+                              write_net_text)
+from coplaces.matrix import writable_name
+from coplaces.ptnet import PetriNet
+from coplaces.tfg import (Equation, EquationSystem, parse_equation_system,
+                          write_equation_system)
 
 SEQ2_PNML = """<?xml version="1.0"?>
 <pnml xmlns="http://www.pnml.org/version-2009/grammar/pnml">
@@ -183,3 +189,77 @@ def test_write_is_stable(m1_doc):
     text = write_net_text(m1_doc)
     assert parse_net_text(text) == m1_doc
     assert write_net_text(parse_net_text(text)) == text
+
+
+# names from characters that neither text format gives a meaning to, save
+# for `->` and digit-only names; then the same mixed with the characters
+# both formats do read (`#`, `*`, `+`, `=`, whitespace that `splitlines`
+# breaks on, a non-ASCII digit)
+_PLAIN_NAME = st.one_of(
+    st.text(alphabet="ab0:|->/\u00e9", min_size=1, max_size=4),
+    st.sampled_from(["->", "07", "pl", "tr", ":", "|-", "//", "0a", "-", ">"]))
+_ANY_NAME = st.one_of(
+    _PLAIN_NAME,
+    st.text(alphabet="a0#*+= \t\x1c\x85\u00b2", min_size=0, max_size=3),
+    st.sampled_from(["5", "p*2", "*", "p#", "+", "p=q", "p q", "\u00b2"]))
+
+
+@st.composite
+def _named_doc(draw):
+    alphabet = _PLAIN_NAME if draw(st.booleans()) else _ANY_NAME
+    names = draw(st.lists(alphabet, min_size=2, max_size=7, unique=True))
+    cut = draw(st.integers(1, len(names) - 1))
+    places, transitions = names[:cut], names[cut:]
+    pre = {t: {p: draw(st.integers(1, 2))
+               for p in draw(st.lists(st.sampled_from(places), max_size=2))}
+           for t in transitions}
+    post = {t: {p: 1 for p in draw(st.lists(st.sampled_from(places),
+                                            max_size=2))}
+            for t in transitions}
+    net = PetriNet(places, transitions, pre, post)
+    marking = {p: draw(st.integers(0, 2)) for p in places}
+    return NetDocument(net, net.make_marking(marking))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_named_doc())
+def test_writable_names_read_back_as_themselves(doc):
+    names = (*doc.net.places, *doc.net.transitions)
+    places, transitions = doc.net.places, doc.net.transitions
+    system = EquationSystem(
+        [Equation("R", places[0], (1,))]
+        + [Equation("R", v, places[max(0, i - 2):i])
+           for i, v in enumerate(places) if i]
+        + [Equation("A", transitions[0], transitions[1:])
+           for _ in transitions[1:2]])
+    if all(writable_name(name) for name in names):
+        assert parse_net_text(write_net_text(doc)) == doc
+        assert parse_equation_system(write_equation_system(system)) == system
+    else:
+        with pytest.raises(UnwritableName):
+            write_net_text(doc)
+        if not all(writable_name(name) for name in system.variables):
+            with pytest.raises(UnwritableName):
+                write_equation_system(system)
+
+
+@pytest.mark.parametrize("name", [
+    "p#", "p q", "p\t", "p\x1c", "p\x85", "p*2", "*", "p+q", "p=q", "->",
+    "5", "\u00b2", ""])
+def test_names_that_do_not_read_back_are_rejected(name):
+    net = PetriNet([name, "b"], ["t"], {"t": {name: 1}}, {"t": {"b": 1}})
+    doc = NetDocument(net, net.make_marking())
+    system = EquationSystem([Equation("R", name, ("b",))])
+    # written without the check, one of the two texts misreads the name
+    try:
+        reads_back = (
+            parse_net_text(f"pl {name}\npl b\ntr t : {name} -> b\n") == doc
+            and parse_equation_system(f"# R |- {name} = b\n") == system)
+    except CoplacesError:
+        reads_back = False
+    assert not reads_back
+    assert not writable_name(name)
+    with pytest.raises(UnwritableName):
+        write_net_text(doc)
+    with pytest.raises(UnwritableName):
+        write_equation_system(system)

@@ -1,11 +1,16 @@
 """The three reduction rules, their equation trail, and the ratio."""
 
+import random
+import time
 from fractions import Fraction
+from typing import Optional
 
-from coplaces.formats import parse_net_text
-from coplaces.ptnet import oracle_matrix
-from coplaces.reductions import ReductionResult, reduce_net
-from coplaces.tfg import EquationSystem, write_equation_system
+from coplaces.formats import NetDocument, parse_net_text, write_net_text
+from coplaces.kernel import RootRelation, matrix_complete
+from coplaces.ptnet import PetriNet, oracle_matrix
+from coplaces.reductions import ReductionResult, _ratio, reduce_net
+from coplaces.tfg import (Equation, EquationSystem, build_tfg,
+                          write_equation_system)
 
 # resists all three rules: the fork shape blocks chains, the self-loop on
 # p1 breaks the p1/p2 symmetry, and no place has a constant column
@@ -83,3 +88,261 @@ def test_residual_nets_stay_safe(safe_net_corpus):
         recorded = {n for eq in result.equations for n in eq.removed()
                     if isinstance(n, str) and n in doc.net.places}
         assert removed <= recorded
+
+
+# -- differential reference: the reducer that scanned the whole net ----------
+
+class _WholeNetReducer:
+    """The reducer before per-pass columns, kept as the reference.
+
+    Every rule scans every transition, and the duplicate rule compares the
+    dense columns of all place pairs; the output defines the residual net,
+    the equation trail and the ratio that `reduce_net` must reproduce.
+    """
+
+    def __init__(self, doc: NetDocument):
+        self.places = list(doc.net.places)
+        self.transitions = list(doc.net.transitions)
+        self.marking = dict(doc.initial)
+        self.pre = {t: dict(doc.net.pre[t]) for t in self.transitions}
+        self.post = {t: dict(doc.net.post[t]) for t in self.transitions}
+        self.equations: list[Equation] = []
+        self.used_names = set(doc.net.places) | set(doc.net.transitions)
+        self._fresh_counter = 0
+
+    def fresh_name(self) -> str:
+        while True:
+            self._fresh_counter += 1
+            name = f"a{self._fresh_counter}"
+            if name not in self.used_names:
+                self.used_names.add(name)
+                return name
+
+    def column(self, p: str):
+        return tuple((self.pre[t].get(p, 0), self.post[t].get(p, 0))
+                     for t in self.transitions)
+
+    def drop_place(self, p: str) -> None:
+        self.places.remove(p)
+        del self.marking[p]
+        for t in self.transitions:
+            self.pre[t].pop(p, None)
+            self.post[t].pop(p, None)
+
+    def apply_duplicate(self) -> bool:
+        for i, p in enumerate(self.places):
+            col = self.column(p)
+            for q in self.places[i + 1:]:
+                if self.marking[q] == self.marking[p] and self.column(q) == col:
+                    self.drop_place(q)
+                    self.equations.append(Equation("R", q, (p,)))
+                    return True
+        return False
+
+    def apply_constant(self) -> bool:
+        for p in self.places:
+            k = self.marking[p]
+            if k not in (0, 1):
+                continue
+            if all(self.pre[t].get(p, 0) == self.post[t].get(p, 0) <= k
+                   for t in self.transitions):
+                self.drop_place(p)
+                self.equations.append(Equation("R", p, (k,)))
+                return True
+        return False
+
+    def _chain_at(self, p: str) -> Optional[tuple[str, str]]:
+        consumers = [t for t in self.transitions if self.pre[t].get(p, 0) > 0]
+        if len(consumers) != 1:
+            return None
+        t = consumers[0]
+        if self.pre[t] != {p: 1} or len(self.post[t]) != 1:
+            return None
+        (q, weight), = self.post[t].items()
+        if weight != 1 or q == p or self.marking[q] != 0:
+            return None
+        producers = [u for u in self.transitions if self.post[u].get(q, 0) > 0]
+        if producers != [t]:
+            return None
+        return t, q
+
+    def apply_chain(self) -> bool:
+        for p in self.places:
+            found = self._chain_at(p)
+            if found is None:
+                continue
+            t, q = found
+            x = self.fresh_name()
+            self.transitions.remove(t)
+            del self.pre[t], self.post[t]
+            for u in self.transitions:
+                if q in self.pre[u]:
+                    self.pre[u][x] = self.pre[u].pop(q)
+                if p in self.post[u]:
+                    self.post[u][x] = self.post[u].pop(p)
+            self.marking[x] = self.marking[p]
+            self.places.remove(p)
+            self.places.remove(q)
+            del self.marking[p], self.marking[q]
+            self.places.append(x)
+            self.equations.append(Equation("A", x, (p, q)))
+            return True
+        return False
+
+    def run(self) -> None:
+        while (self.apply_duplicate()
+               or self.apply_constant()
+               or self.apply_chain()):
+            pass
+
+
+def _reference_texts(doc: NetDocument) -> tuple[str, str, Fraction]:
+    reducer = _WholeNetReducer(doc)
+    reducer.run()
+    net = PetriNet(reducer.places, reducer.transitions, reducer.pre,
+                   reducer.post)
+    residual = NetDocument(net, net.make_marking(reducer.marking))
+    return (write_net_text(residual),
+            write_equation_system(EquationSystem(reducer.equations)),
+            _ratio(doc.net.places, net.places))
+
+
+def _texts(doc: NetDocument) -> tuple[str, str, Fraction]:
+    result = reduce_net(doc)
+    return (write_net_text(result.residual),
+            write_equation_system(result.equations), result.ratio)
+
+
+def _targeted_doc(rng: random.Random) -> NetDocument:
+    """A net where all three rules fire, in interleaved place order.
+
+    Base places get random arcs of weight 1 or 2 and markings up to 2;
+    clones of some base places are inserted at random positions, so twin
+    classes interleave (a, b, c, d with a = d and b = c); constant places
+    sit on neutral self-loops or stand alone; chains hang off random
+    places. A base place may be called `a1` to make fresh names skip it.
+    """
+    base = [f"b{i}" for i in range(rng.randint(2, 5))]
+    if rng.random() < 0.3:
+        base[0] = "a1"
+    transitions = [f"t{k}" for k in range(rng.randint(1, 5))]
+    pre = {t: {} for t in transitions}
+    post = {t: {} for t in transitions}
+    for t in transitions:
+        for flow in (pre[t], post[t]):
+            for p in rng.sample(base, rng.randint(0, 2)):
+                flow[p] = rng.choice((1, 1, 2))
+    marking = {p: rng.choice((0, 0, 1, 2)) for p in base}
+    places = list(base)
+    for i in range(rng.randint(0, 2 * len(base))):
+        source, clone = rng.choice(base), f"d{i}"
+        for t in transitions:
+            for flow in (pre[t], post[t]):
+                if source in flow:
+                    flow[clone] = flow[source]
+        marking[clone] = marking[source]
+        places.insert(rng.randint(0, len(places)), clone)
+    for i in range(rng.randint(0, 2)):
+        constant = f"k{i}"
+        marking[constant] = rng.choice((0, 1, 1, 2))
+        if marking[constant] and rng.random() < 0.5:
+            t = rng.choice(transitions)
+            pre[t][constant] = post[t][constant] = marking[constant]
+        places.insert(rng.randint(0, len(places)), constant)
+    for i in range(rng.randint(0, 3)):
+        head, tail, u = rng.choice(places), f"q{i}", f"u{i}"
+        transitions.append(u)
+        pre[u], post[u] = {head: 1}, {tail: 1}
+        marking[tail] = 0
+        places.insert(rng.randint(0, len(places)), tail)
+    net = PetriNet(places, transitions, pre, post)
+    return NetDocument(net, net.make_marking(marking))
+
+
+def test_interleaved_twin_classes_drop_the_earliest_class_first():
+    # a = d and b = c: the pair of the earliest class goes first, not the
+    # first place that has an earlier twin (c)
+    doc = parse_net_text("pl a\npl b\npl c\npl d\n"
+                         "tr t : a d -> b c\ntr u : b c -> a d\n")
+    residual, equations, ratio = _texts(doc)
+    assert equations == "# R |- d = a\n# R |- c = b\n# A |- a1 = a + b\n"
+    assert (residual, equations, ratio) == _reference_texts(doc)
+
+
+def test_reducer_matches_whole_net_reference(safe_net_corpus):
+    rng = random.Random(907)
+    docs = safe_net_corpus(53, 200) + [_targeted_doc(rng) for _ in range(600)]
+    fired = {"R": 0, "A": 0}
+    for doc in docs:
+        got = _texts(doc)
+        assert got == _reference_texts(doc), write_net_text(doc)
+        for tag in fired:
+            fired[tag] += got[1].count(f"# {tag} ")
+    assert fired["R"] > 500 and fired["A"] > 100
+
+
+def _cycles_with_duplicates(n: int) -> NetDocument:
+    lines = [f"pl {p}{i}{' 1' if p == 'x' else ''}"
+             for i in range(n) for p in "xyzw"]
+    lines += [line for i in range(n) for line in (
+        f"tr a{i} : x{i} -> y{i} w{i}", f"tr b{i} : y{i} w{i} -> z{i}",
+        f"tr c{i} : z{i} -> x{i}")]
+    return parse_net_text("\n".join(lines) + "\n")
+
+
+def test_reduction_cost_of_two_hundred_places():
+    doc = _cycles_with_duplicates(50)
+    started = time.perf_counter()
+    result = reduce_net(doc)
+    elapsed = time.perf_counter() - started
+    assert result.ratio == 1 and len(result.equations) == 200
+    assert elapsed < 2.0
+
+
+# -- the reduced pipeline against the oracle under net edits -----------------
+
+def _reduced_relation(doc: NetDocument):
+    """reduce_net, build_tfg, exact root relation, complete kernel."""
+    result = reduce_net(doc)
+    tfg = build_tfg(result.equations, doc.net.places,
+                    result.residual.net.places)
+    return matrix_complete(tfg, RootRelation.exact(tfg, result.residual))
+
+
+def _with_place(doc: NetDocument, name: str, tokens: int,
+                source: Optional[str] = None) -> NetDocument:
+    """`doc` plus a last place `name`: a copy of `source`, or isolated."""
+    net = doc.net
+    pre = {t: dict(net.pre[t]) for t in net.transitions}
+    post = {t: dict(net.post[t]) for t in net.transitions}
+    for arcs in (*pre.values(), *post.values()):
+        if source in arcs:
+            arcs[name] = arcs[source]
+    extended = PetriNet(net.places + (name,), net.transitions, pre, post)
+    return NetDocument(extended, extended.make_marking(
+        {**doc.initial, name: tokens}))
+
+
+def test_added_duplicate_or_isolated_place_keeps_the_relation(safe_net_corpus):
+    rng = random.Random(83)
+    for doc in safe_net_corpus(83, 80):
+        places = doc.net.places
+        truth = oracle_matrix(doc.net, doc.initial)
+        assert _reduced_relation(doc).restrict(places) == truth
+        source = rng.choice(places)
+        for extended in (_with_place(doc, "x_dup", doc.initial[source], source),
+                         _with_place(doc, "x_iso", 0),
+                         _with_place(doc, "x_iso", 1)):
+            assert _reduced_relation(extended).restrict(places) == truth
+
+
+def test_transition_order_does_not_change_the_relation(safe_net_corpus):
+    rng = random.Random(89)
+    for doc in safe_net_corpus(89, 80):
+        order = list(doc.net.transitions)
+        rng.shuffle(order)
+        net = PetriNet(doc.net.places, order, doc.net.pre, doc.net.post)
+        permuted = NetDocument(net, dict(doc.initial))
+        places = doc.net.places
+        assert _reduced_relation(permuted).restrict(places) == \
+            _reduced_relation(doc).restrict(places)
