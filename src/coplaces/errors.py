@@ -29,6 +29,16 @@ def shown(text, unit: str = "characters", quote: str = "'",
     return f"{noun}of {len(text)} {unit}"
 
 
+def shown_nodes(nodes) -> str:
+    """The nodes as a message lists them: at most `SHOWN_NODES`, then
+    "and N more", each through `shown`, in braces."""
+    nodes = tuple(nodes)
+    listed = [shown(n, quote="", noun="a node ") for n in nodes[:SHOWN_NODES]]
+    if len(nodes) > SHOWN_NODES:
+        listed.append(f"and {len(nodes) - SHOWN_NODES} more")
+    return f"{{{', '.join(listed)}}}"
+
+
 class CoplacesError(Exception):
     """Base class of every error raised by this package."""
 
@@ -143,13 +153,9 @@ class WellFormednessError(AnalysisError):
 
     def __init__(self, condition: str, nodes, detail: str = ""):
         nodes = tuple(nodes)
-        listed = [shown(n, quote="", noun="a node ")
-                  for n in nodes[:SHOWN_NODES]]
-        if len(nodes) > SHOWN_NODES:
-            listed.append(f"and {len(nodes) - SHOWN_NODES} more")
         extra = f": {detail}" if detail else ""
         super().__init__(f"well-formedness condition {condition} violated"
-                         f" by {{{', '.join(listed)}}}{extra}")
+                         f" by {shown_nodes(nodes)}{extra}")
         self.condition = condition
         self.nodes = nodes
 
@@ -222,3 +228,11 @@ class BadSymbol(InputFormatError):
 
 class OrderMismatch(InputFormatError):
     """Two matrix documents do not share the same node ordering."""
+
+    def __init__(self, first, second):
+        at = next((k for k, (a, b) in enumerate(zip(first, second)) if a != b),
+                  min(len(first), len(second)))
+        names = [shown(order[at]) if at < len(order) else "no node"
+                 for order in (first, second)]
+        super().__init__(f"orders differ at position {at}:"
+                         f" {names[0]} vs {names[1]}")

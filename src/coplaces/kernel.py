@@ -5,14 +5,15 @@ its roots (the residual-net places plus the constant nodes), the complete
 mode recovers the relation of the initial net without firing a single
 transition: every live root floods its successor cone, each redundancy arc
 under a live node relates the cone accumulated so far with the arc's cone,
-and every concurrent pair of live roots relates the two cones wholesale.
-Restricted to the places of the initial net, the result is exact.
+and each node's row in the cone of a live root v takes the cones of the
+roots concurrent with v. Restricted to the initial places, it is exact.
 
-The partial mode starts from an all-undecided matrix, seeds it with
-whatever is known about the roots, runs the same 1-propagation from roots
-known to be live, and then closes the matrix under six zero-propagation
-axioms (A1..A6 below). Every 0 or 1 it writes is sound; undecided cells
-simply remain undecided.
+The partial mode starts from an all-undecided matrix, seeds it with the
+root 0s, runs the same 1-propagation from roots known to be live, and
+then closes the matrix under six zero-propagation axioms (A1..A6 below).
+The root 1s need no seed: `RootRelation` makes every related root live,
+so propagation writes its diagonal and relates the cones of each related
+pair. Every 0 or 1 it writes is sound; undecided cells stay undecided.
 
 Axioms, where a "group" is one equation head v with members X:
 
@@ -39,9 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import IncompleteRootRelation, InvalidRootRelation, shown
+from .errors import (IncompleteRootRelation, InvalidRootRelation, shown,
+                     shown_nodes)
 from .formats import NetDocument
-from .matrix import UNDECIDED, ConcurrencyMatrix, MatrixDocument, bits
+from .matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument, bits,
+                     permute)
 from .ptnet import DEFAULT_STATE_CAP, DEFAULT_TIME_BUDGET, oracle_matrix
 from .tfg import ConstantNode, Node, TokenFlowGraph
 
@@ -82,11 +85,9 @@ class RootRelation:
                 dead |= 1 << i
             elif ones[i]:
                 self.cells.set_at(i, i, 1)
-        self.cells.add_zeros([-1 if dead >> i & 1 else dead
+        everything = (1 << len(ones)) - 1
+        self.cells.add_zeros([everything if dead >> i & 1 else dead
                               for i in range(len(ones))])
-
-    def value(self, a: Node, b: Node) -> int:
-        return self.cells.value(a, b)
 
     @property
     def complete(self) -> bool:
@@ -103,34 +104,28 @@ class RootRelation:
         """
         if isinstance(reduced, MatrixDocument):
             reduced = reduced.matrix
-        place_roots = [r for r in tfg.roots if isinstance(r, str)]
-        if set(place_roots) != set(reduced.order):
-            missing = sorted(set(place_roots) - set(reduced.order))
-            extra = sorted(set(reduced.order) - set(place_roots))
+        place_roots = {r for r in tfg.roots if isinstance(r, str)}
+        if place_roots != set(reduced.order):
+            missing = sorted(place_roots - set(reduced.order))
+            extra = sorted(set(reduced.order) - place_roots)
             raise InvalidRootRelation(
-                f"relation covers the wrong places"
-                f" (missing {missing}, extra {extra})")
+                f"relation covers the wrong places (missing"
+                f" {shown_nodes(missing)}, extra {shown_nodes(extra)})")
 
+        # place rows move into root order; a 0-constant gets its 0 diagonal
+        source = [reduced.index.get(root, -1) for root in tfg.roots]
+        ones, zeros = reduced.full_rows()
+        ones = [permute(ones[s], source) if s >= 0 else 0 for s in source]
+        zeros = [permute(zeros[s], source) if s >= 0 else (root.value == 0) << k
+                 for k, (root, s) in enumerate(zip(tfg.roots, source))]
         cells = ConcurrencyMatrix(tfg.roots, fill=UNDECIDED)
-        for i, a in enumerate(place_roots):
-            for b in place_roots[:i + 1]:
-                cells.set_value(a, b, reduced.value(a, b))
-
-        def liveness(root: Node) -> int:
-            if isinstance(root, ConstantNode):
-                return 1 if root.value == 1 else 0
-            return cells.value(root, root)
-
-        for k in (r for r in tfg.roots if isinstance(r, ConstantNode)):
-            if k.value == 0:
-                for b in tfg.roots:
-                    cells.set_value(k, b, 0)
-            else:
-                cells.set_value(k, k, 1)
-                for b in tfg.roots:
-                    if b == k:
-                        continue
-                    cells.set_value(k, b, liveness(b))
+        cells.add_ones(ones)
+        cells.add_zeros(zeros)
+        # 1-constants relate to the live roots; `_normalize` zeroes dead rows
+        one_constants = sum(1 << k for k, root in enumerate(tfg.roots)
+                            if isinstance(root, ConstantNode) and root.value)
+        live = sum(1 << k for k, row in enumerate(ones) if row >> k & 1)
+        cells.relate(one_constants, one_constants | live)
         return cls(tfg, cells)
 
     @classmethod
@@ -191,14 +186,20 @@ def propagate_node(tfg: TokenFlowGraph, matrix: ConcurrencyMatrix, v: Node,
 def _propagate_roots(tfg: TokenFlowGraph, rel2: RootRelation,
                      matrix: ConcurrencyMatrix,
                      stats: Optional[PropagationStats] = None) -> None:
-    """Flood every live root, then relate the cones of concurrent root pairs."""
+    """Flood every live root, then give each node x in the cone of a live
+    root v the union N_v of the cones of the roots concurrent with v."""
     memo: dict[Node, int] = {}
-    live = [r for r in tfg.roots if rel2.value(r, r) == 1]
-    cones = {r: propagate_node(tfg, matrix, r, memo, stats) for r in live}
-    for i, v in enumerate(live):
-        for w in live[:i]:
-            if rel2.value(v, w) == 1:
-                matrix.relate(cones[v], cones[w])
+    related, _ = rel2.cells.full_rows()
+    cones = [propagate_node(tfg, matrix, root, memo, stats)
+             if related[v] >> v & 1 else 0 for v, root in enumerate(tfg.roots)]
+    rows = [0] * len(tfg.nodes)
+    for v, cone in enumerate(cones):
+        near = 0
+        for w in bits(related[v] & ~(1 << v)):
+            near |= cones[w]
+        for x in bits(cone):
+            rows[x] |= near
+    matrix.add_ones(rows)
 
 
 def matrix_complete(tfg: TokenFlowGraph, rel2: RootRelation,
@@ -206,8 +207,8 @@ def matrix_complete(tfg: TokenFlowGraph, rel2: RootRelation,
     """Exact concurrency matrix over all graph nodes from a complete root relation.
 
     Cells start at 0 and only 1s are ever written: first each live root is
-    flooded (`propagate_node`), then every concurrent root pair relates its
-    two successor cones. Restricted to the places of the initial net the
+    flooded (`propagate_node`), then the cone of each live root is related
+    to the cones of the roots concurrent with it. Restricted to the places of the initial net the
     result equals the true concurrency relation.
     """
     if not rel2.complete:
@@ -221,18 +222,16 @@ def matrix_complete(tfg: TokenFlowGraph, rel2: RootRelation,
 def matrix_partial(tfg: TokenFlowGraph, rel2: RootRelation) -> ConcurrencyMatrix:
     """Sound partial concurrency matrix from a partial root relation.
 
-    Cells start undecided; root knowledge is seeded, 1-propagation runs
+    Cells start undecided; the root 0s are seeded, 1-propagation runs
     from the roots known to be live, then the zero-axioms close the node
     rows to a fixpoint, which is unique because axioms only ever turn
     undecided cells into 0.
     """
     matrix = ConcurrencyMatrix(tfg.nodes, fill=UNDECIDED)
-    roots = tfg.roots
-    for i, a in enumerate(roots):
-        for b in roots[:i + 1]:
-            value = rel2.value(a, b)
-            if value != UNDECIDED:
-                matrix.set_value(a, b, value)
+    source = [rel2.cells.index.get(node, -1) for node in tfg.nodes]
+    _, zeros = rel2.cells.full_rows()
+    matrix.add_zeros([permute(zeros[s], source) if s >= 0 else 0
+                      for s in source])
     _propagate_roots(tfg, rel2, matrix)
 
     ones, zeros = matrix.full_rows()

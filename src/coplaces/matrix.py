@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, zip_longest
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (BadHeader, BadSymbol, OrderMismatch, RowLengthMismatch,
@@ -69,19 +70,30 @@ def bits(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
-class ConcurrencyMatrix:
-    """Lower-triangular symmetric matrix over an ordered node set.
+def permute(mask: int, source: Sequence[int]) -> int:
+    """`mask` moved into another node order: bit k is bit source[k] of it,
+    or 0 where source[k] is -1. The old order has at most len(source) nodes.
+    """
+    if not source:
+        return 0
+    # bit j of `mask` at position j, and a 0 at position -1
+    text = format(mask, f"0{len(source) + 1}b")[::-1]
+    return int("".join(itemgetter(*source)(text))[::-1], 2)
 
-    Row i covers the cells (i, 0..i) as two masks over bits 0..i:
-    ``_ones[i]`` holds the 1 cells and ``_zeros[i]`` the 0 cells; a cell in
-    neither is `UNDECIDED`. The accessors normalise the index pair, so
-    ``value(v, w) == value(w, v)`` by construction. `write_count` counts
-    effective writes only: assignments that change a stored cell.
-    Re-writing an equal value is free, which is what makes the propagation
-    algorithms idempotent.
+
+class ConcurrencyMatrix:
+    """Symmetric matrix over an ordered node set, one whole row per node.
+
+    `index` maps each node to its position in `order`. Row i covers the
+    cells (i, 0..n-1) as two masks: ``_ones[i]`` holds the 1 cells and
+    ``_zeros[i]`` the 0 cells; a cell in neither is `UNDECIDED`. Bit j of
+    row i always equals bit i of row j. `write_count` counts effective
+    writes only, one per cell (i, j) with j <= i: assignments that change
+    a stored cell. Re-writing an equal value is free, which is what makes
+    the propagation algorithms idempotent.
     """
 
-    __slots__ = ("order", "_index", "_ones", "_zeros", "write_count")
+    __slots__ = ("order", "index", "_ones", "_zeros", "write_count")
 
     def __init__(self, order: Iterable, fill: int = 0):
         order = tuple(order)
@@ -90,8 +102,8 @@ class ConcurrencyMatrix:
         if fill not in (0, 1, UNDECIDED):
             raise ValueError(f"bad fill value {fill!r}")
         self.order = order
-        self._index = {node: i for i, node in enumerate(order)}
-        full = [(2 << i) - 1 for i in range(len(order))]
+        self.index = {node: i for i, node in enumerate(order)}
+        full = [(1 << len(order)) - 1] * len(order)
         self._ones = full if fill == 1 else [0] * len(order)
         self._zeros = full if fill == 0 else [0] * len(order)
         self.write_count = 0
@@ -104,54 +116,52 @@ class ConcurrencyMatrix:
 
     def value(self, a, b) -> int:
         """Cell value for the unordered node pair (a, b)."""
-        return self.value_at(self._index[a], self._index[b])
+        return self.value_at(self.index[a], self.index[b])
 
     def value_at(self, i: int, j: int) -> int:
-        if i < j:
-            i, j = j, i
         if self._ones[i] >> j & 1:
             return 1
         return 0 if self._zeros[i] >> j & 1 else UNDECIDED
 
     def set_value(self, a, b, value: int) -> None:
-        self.set_at(self._index[a], self._index[b], value)
+        self.set_at(self.index[a], self.index[b], value)
 
     def set_at(self, i: int, j: int, value: int) -> None:
-        if i < j:
-            i, j = j, i
         if self.value_at(i, j) != value:
-            bit = 1 << j
-            self._ones[i] = self._ones[i] & ~bit | (bit if value == 1 else 0)
-            self._zeros[i] = self._zeros[i] & ~bit | (bit if value == 0 else 0)
+            for row, bit in ((i, 1 << j), (j, 1 << i)):
+                self._ones[row] = self._ones[row] & ~bit | bit * (value == 1)
+                self._zeros[row] = self._zeros[row] & ~bit | bit * (value == 0)
             self.write_count += 1
+
+    def _write(self, i: int, new: int, value: int) -> None:
+        # `new` holds bits of row i that do not hold `value` (0 or 1) yet
+        self._ones[i] &= ~new
+        self._zeros[i] &= ~new
+        (self._ones if value else self._zeros)[i] |= new
+        self.write_count += (new & ((2 << i) - 1)).bit_count()
 
     def relate(self, xs: int, ys: int) -> None:
         """Set to 1 every cell (x, y) with bit x in `xs` and bit y in `ys`."""
-        ones, zeros = self._ones, self._zeros
         for i in bits(xs | ys):
             row = (ys if xs >> i & 1 else 0) | (xs if ys >> i & 1 else 0)
-            new = row & ((2 << i) - 1) & ~ones[i]
-            if new:
-                ones[i] |= new
-                zeros[i] &= ~new
-                self.write_count += new.bit_count()
+            if new := row & ~self._ones[i]:
+                self._write(i, new, 1)
+
+    def add_ones(self, rows: Sequence[int]) -> None:
+        """Set to 1 every cell (i, j) with bit j in symmetric rows[i]."""
+        for i, row in enumerate(rows):
+            if new := row & ~self._ones[i]:
+                self._write(i, new, 1)
+
+    def add_zeros(self, rows: Sequence[int]) -> None:
+        """Set to 0 every undecided cell (i, j), bit j in symmetric rows[i]."""
+        for i, row in enumerate(rows):
+            if new := row & ~(self._ones[i] | self._zeros[i]):
+                self._write(i, new, 0)
 
     def full_rows(self) -> tuple[list[int], list[int]]:
         """Copies of the 1-rows and 0-rows, bit j of row i being cell (i, j)."""
-        ones, zeros = list(self._ones), list(self._zeros)
-        for rows in (ones, zeros):
-            for i, row in enumerate(rows):
-                for j in bits(row & ((1 << i) - 1)):
-                    rows[j] |= 1 << i
-        return ones, zeros
-
-    def add_zeros(self, rows: Sequence[int]) -> None:
-        """Set to 0 every undecided cell (i, j), j <= i, with bit j in rows[i]."""
-        for i, row in enumerate(rows):
-            new = row & ((2 << i) - 1) & ~(self._ones[i] | self._zeros[i])
-            if new:
-                self._zeros[i] |= new
-                self.write_count += new.bit_count()
+        return list(self._ones), list(self._zeros)
 
     # -- whole-matrix views ---------------------------------------------
 
@@ -162,12 +172,14 @@ class ConcurrencyMatrix:
 
     def defined_count(self) -> int:
         """Number of cells holding 0 or 1."""
-        return sum(row.bit_count() for row in self._ones + self._zeros)
+        return sum(((one | zero) & ((2 << i) - 1)).bit_count() for i, (one, zero)
+                   in enumerate(zip(self._ones, self._zeros)))
 
     def row_symbols(self, i: int) -> str:
         """Row i of the triangle as a symbol string of length i + 1."""
-        row = list(format(self._ones[i], f"0{i + 1}b")[::-1])
-        for j in bits(~(self._ones[i] | self._zeros[i]) & ((2 << i) - 1)):
+        low = (2 << i) - 1
+        row = list(format(self._ones[i] & low, f"0{i + 1}b")[::-1])
+        for j in bits(~(self._ones[i] | self._zeros[i]) & low):
             row[j] = "."
         return "".join(row)
 
@@ -176,7 +188,9 @@ class ConcurrencyMatrix:
         sub = ConcurrencyMatrix(order, fill=UNDECIDED)
         if self.order[:sub.size] != sub.order:
             raise ValueError("restrict needs a prefix of the matrix order")
-        sub._ones, sub._zeros = self._ones[:sub.size], self._zeros[:sub.size]
+        width = (1 << sub.size) - 1
+        sub._ones, sub._zeros = ([row & width for row in rows[:sub.size]]
+                                 for rows in (self._ones, self._zeros))
         return sub
 
     def copy(self) -> "ConcurrencyMatrix":
@@ -295,10 +309,10 @@ def read_matrix(text: str) -> MatrixDocument:
             raise BadHeader(f"empty node name at line {2 + k}")
         names.append(name)
 
-    rows = lines[1 + n:1 + 2 * n]
-    rle = any("(" in row for row in rows)
-    matrix = ConcurrencyMatrix(names, fill=UNDECIDED)
-    for i, raw in enumerate(rows):
+    lines = lines[1 + n:1 + 2 * n]
+    rle = any("(" in line for line in lines)
+    rows = []
+    for i, raw in enumerate(lines):
         raw = raw.strip()
         row = _decode_row_rle(raw, i) if rle else raw
         if len(row) != i + 1:
@@ -306,7 +320,11 @@ def read_matrix(text: str) -> MatrixDocument:
         # int(row, 2) also takes '_', '+', spaces and other digits: check first
         if bad := _BAD_SYMBOL.search(row):
             raise BadSymbol(i, bad.start())
-        row = row[::-1]
+        rows.append(row)
+    matrix = ConcurrencyMatrix(names, fill=UNDECIDED)
+    # the file holds cells (i, 0..i); column i holds the rest of row i
+    for i, column in enumerate(zip_longest(*rows, fillvalue="")):
+        row = (rows[i][:i] + "".join(column))[::-1]
         matrix._ones[i] = int(row.replace(".", "0"), 2)
         matrix._zeros[i] = int(row.translate(_ZERO_BITS), 2)
     return MatrixDocument(tuple(names), matrix, "rle" if rle else "plain")
@@ -347,13 +365,14 @@ def compare_matrices(a: MatrixDocument, b: MatrixDocument) -> ComparisonReport:
     compatibility means the only differences are undecided-versus-decided.
     """
     if a.order != b.order:
-        raise OrderMismatch(f"orders differ: {list(a.order)} vs {list(b.order)}")
+        raise OrderMismatch(a.order, b.order)
     contradictions: list[tuple[int, int]] = []
     resolved = 0
     rows = zip(a.matrix._ones, a.matrix._zeros, b.matrix._ones, b.matrix._zeros)
     for i, (a1, a0, b1, b0) in enumerate(rows):
-        resolved += ((a1 | a0) ^ (b1 | b0)).bit_count()
-        contradictions.extend((i, j) for j in bits(a1 & b0 | a0 & b1))
+        low = (2 << i) - 1
+        resolved += (((a1 | a0) ^ (b1 | b0)) & low).bit_count()
+        contradictions.extend((i, j) for j in bits((a1 & b0 | a0 & b1) & low))
     if contradictions:
         return ComparisonReport("contradiction", resolved, contradictions)
     if resolved:

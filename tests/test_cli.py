@@ -2,6 +2,7 @@
 
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import coplaces
 from coplaces.cli import dispatch
+from coplaces.formats import NetDocument, write_net_text
+from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
+                             read_matrix, write_matrix)
+from coplaces.ptnet import PetriNet
 
 
 def run(capsys, *argv):
@@ -272,6 +277,23 @@ def test_reduce_rejects_names_its_outputs_cannot_hold(tmp_path, capsys, name,
 _LONG = "n" * 5000
 
 
+def _order_mismatch_files(tmp_path):
+    nodes = [f"n{i}" for i in range(2000)]
+    for name, order in (("a.mat", nodes), ("b.mat", nodes[::-1])):
+        rows = [f"{i + 1}(1)" for i in range(len(order))]
+        (tmp_path / name).write_text("\n".join([str(len(order)), *order, *rows])
+                                     + "\n")
+    return "compare", str(tmp_path / "a.mat"), str(tmp_path / "b.mat")
+
+
+def _wrong_places_files(tmp_path):
+    _order_mismatch_files(tmp_path)
+    return ("matrix", str(_FIXTURES / "m1.net"),
+            "--equations", str(_FIXTURES / "m1.eq"),
+            "--reduced", str(_FIXTURES / "m2.net"),
+            "--rel2", str(tmp_path / "a.mat"))
+
+
 def _cycle_files(tmp_path):
     nodes = [f"n{i}" for i in range(2000)]
     (tmp_path / "cycle.net").write_text("".join(f"pl {v}\n" for v in nodes))
@@ -293,15 +315,20 @@ def _cycle_files(tmp_path):
      "duplicate id of 5000 characters"),
     ("arc.pnml", _pnml({"a": 0}, {"t": (["a"], [_LONG])}), 2,
      "arc of 5002 characters does not connect"),
-    ("cycle", None, 3,
+    (None, _cycle_files, 3,
      "well-formedness condition Cycle violated by"
      " {n0, n1, n2, n3, n4, and 1995 more}"),
+    (None, _order_mismatch_files, 2, "orders differ at position 0:"
+     " 'n0' vs 'n1999'"),
+    (None, _wrong_places_files, 3, "relation covers the wrong places"
+     " (missing {a2, p0, p6}, extra {n0, n1, n10, n100, n1000,"
+     " and 1995 more})"),
 ], ids=["text-duplicate", "text-unknown", "pnml-marking", "pnml-duplicate",
-        "pnml-arc", "equation-cycle"])
+        "pnml-arc", "equation-cycle", "order-mismatch", "rel2-places"])
 def test_echoed_identifiers_are_bounded(tmp_path, capsys, name, text, code,
                                         message):
-    if text is None:
-        argv = _cycle_files(tmp_path)
+    if callable(text):
+        argv = text(tmp_path)
     else:
         (tmp_path / name).write_text(text, encoding="utf-8")
         argv = ("oracle", str(tmp_path / name))
@@ -356,12 +383,15 @@ _FIXTURES = Path(__file__).parent / "fixtures"
 _FUZZED = ("m1.net", "m1.eq", "m2.net", "m2.mat")
 
 
-# each edit cuts up to 3 bytes at a position and inserts up to 3 bytes there
+# some files are first replaced by arbitrary bytes; each edit then cuts up
+# to 3 bytes at a position and inserts up to 3 bytes there
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(_FUZZED), st.integers(0, 400),
                           st.integers(0, 3), st.binary(max_size=3)),
-                min_size=1, max_size=4))
-def test_mutated_inputs_exit_with_documented_codes(edits):
+                min_size=1, max_size=4),
+       st.dictionaries(st.sampled_from(_FUZZED), st.binary(max_size=300),
+                       max_size=2))
+def test_mutated_inputs_exit_with_documented_codes(edits, replaced):
     with tempfile.TemporaryDirectory() as tmp, \
             redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         files = {name: str(Path(tmp, name)) for name in _FUZZED}
@@ -370,6 +400,8 @@ def test_mutated_inputs_exit_with_documented_codes(edits):
         truth = str(Path(tmp, "truth.mat"))
         assert dispatch(["oracle", files["m2.net"], "-o", truth]) == 0
         Path(files["m2.mat"]).write_bytes(Path(truth).read_bytes())
+        for name, data in replaced.items():
+            Path(files[name]).write_bytes(data)
         for name, pos, cut, insert in edits:
             data = Path(files[name]).read_bytes()
             pos %= len(data) + 1
@@ -383,3 +415,87 @@ def test_mutated_inputs_exit_with_documented_codes(edits):
                      pipeline + ["--oracle"],
                      pipeline + ["--rel2", mat, "--partial"]):
             assert dispatch(argv) in range(6), argv
+
+
+def _reordered(matrix, order):
+    """`matrix`'s cells over `order`, a permutation of its nodes."""
+    moved = ConcurrencyMatrix(order, fill=UNDECIDED)
+    for i, a in enumerate(order):
+        for b in order[:i + 1]:
+            moved.set_value(a, b, matrix.value(a, b))
+    return moved
+
+
+def test_rel2_place_order_does_not_change_the_matrix(tmp_path, capsys,
+                                                     safe_net_corpus):
+    rng = random.Random(31)
+    shuffled = 0
+    for k, doc in enumerate(safe_net_corpus(31, 40)):
+        net, out = tmp_path / f"n{k}.net", tmp_path / f"out{k}"
+        net.write_text(write_net_text(doc), encoding="utf-8")
+        assert run(capsys, "reduce", str(net), "-o", str(out))[0] == 0
+        reduced, eq = out / f"n{k}.reduced.net", out / f"n{k}.eq"
+        code, text, _ = run(capsys, "oracle", str(reduced))
+        assert code == 0
+        truth = read_matrix(text).matrix
+        blanked = truth.copy()
+        for i in range(truth.size):
+            for j in range(i):
+                if rng.random() < 0.5:
+                    blanked.set_at(i, j, UNDECIDED)
+        order = list(truth.order)
+        rng.shuffle(order)
+        shuffled += order != list(truth.order)
+        for flags, cells in (((), truth), (("--partial",), blanked)):
+            outputs = []
+            for moved in (cells, _reordered(cells, order)):
+                rel2 = tmp_path / "rel2.mat"
+                rel2.write_text(write_matrix(MatrixDocument(moved.order, moved)),
+                                encoding="utf-8")
+                outputs.append(run(capsys, "matrix", str(net),
+                                   "--equations", str(eq), "--reduced",
+                                   str(reduced), "--rel2", str(rel2), *flags))
+            assert outputs[0] == outputs[1]
+            assert outputs[0][0] == 0
+    assert shuffled >= 10
+
+
+def _renamed(doc, names):
+    net = doc.net
+    pre, post = ({t: {names[p]: w for p, w in arcs[t].items()}
+                  for t in net.transitions} for arcs in (net.pre, net.post))
+    renamed = PetriNet([names[p] for p in net.places], net.transitions,
+                       pre, post)
+    return NetDocument(renamed, renamed.make_marking(
+        {names[p]: tokens for p, tokens in doc.initial.items()}))
+
+
+def _with_names(output, names):
+    """A matrix file text with its node names replaced through `names`."""
+    lines = output.split("\n")
+    n = int(lines[0])
+    lines[1:1 + n] = [names[name] for name in lines[1:1 + n]]
+    return "\n".join(lines)
+
+
+def test_renamed_places_change_only_the_names(tmp_path, capsys,
+                                              safe_net_corpus):
+    # fresh names in a random order, so that no name order survives
+    rng = random.Random(37)
+    for k, doc in enumerate(safe_net_corpus(37, 40)):
+        fresh = [f"x{j}" for j in range(len(doc.net.places))]
+        rng.shuffle(fresh)
+        names = dict(zip(doc.net.places, fresh))
+        runs = []
+        for stem, version in ((f"n{k}", doc), (f"r{k}", _renamed(doc, names))):
+            net, out = tmp_path / f"{stem}.net", tmp_path / f"out{stem}"
+            net.write_text(write_net_text(version), encoding="utf-8")
+            assert run(capsys, "reduce", str(net), "-o", str(out))[0] == 0
+            runs.append((run(capsys, "oracle", str(net)),
+                         run(capsys, "matrix", str(net), "--equations",
+                             str(out / f"{stem}.eq"), "--reduced",
+                             str(out / f"{stem}.reduced.net"), "--oracle")))
+        for original, renamed in zip(*runs):
+            assert original[0] == renamed[0] == 0
+            assert original[2] == renamed[2] == ""
+            assert _with_names(original[1], names) == renamed[1]

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from collections import deque
 
 import pytest
@@ -9,9 +10,10 @@ import pytest
 from coplaces.errors import IncompleteRootRelation, InvalidRootRelation
 from coplaces.kernel import (PropagationStats, RootRelation, _propagate_roots,
                              matrix_complete, matrix_partial, propagate_node)
+from coplaces.tfg import ConstantNode
 from coplaces.formats import write_net_text
 from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
-                             bits, write_matrix)
+                             bits, read_matrix, write_matrix)
 from coplaces.ptnet import oracle_matrix
 from coplaces.reductions import reduce_net
 from coplaces.tfg import (build_tfg, parse_equation_system, successors,
@@ -134,20 +136,63 @@ def test_matrix_partial_constant_pairing(seq2):
     assert C.value("a", "a") == 1
 
 
+def _reference_from_reduced_matrix(tfg, reduced):
+    """The cell copy `RootRelation.from_reduced_matrix` used to be."""
+    place_roots = [r for r in tfg.roots if isinstance(r, str)]
+    cells = ConcurrencyMatrix(tfg.roots, fill=UNDECIDED)
+    for i, a in enumerate(place_roots):
+        for b in place_roots[:i + 1]:
+            cells.set_value(a, b, reduced.value(a, b))
+
+    def liveness(root):
+        if isinstance(root, ConstantNode):
+            return 1 if root.value == 1 else 0
+        return cells.value(root, root)
+
+    for k in (r for r in tfg.roots if isinstance(r, ConstantNode)):
+        if k.value == 0:
+            for b in tfg.roots:
+                cells.set_value(k, b, 0)
+        else:
+            cells.set_value(k, k, 1)
+            for b in tfg.roots:
+                if b != k:
+                    cells.set_value(k, b, liveness(b))
+    return RootRelation(tfg, cells)
+
+
+def _reference_propagate_roots(tfg, rel2, matrix, stats=None):
+    """The root-pair loop `_propagate_roots` used to be."""
+    memo = {}
+    live = [r for r in tfg.roots if rel2.cells.value(r, r) == 1]
+    cones = {r: propagate_node(tfg, matrix, r, memo, stats) for r in live}
+    for i, v in enumerate(live):
+        for w in live[:i]:
+            if rel2.cells.value(v, w) == 1:
+                matrix.relate(cones[v], cones[w])
+
+
+def _reference_seed(tfg, rel2):
+    """The cell-by-cell root seeding `matrix_partial` used to start from."""
+    matrix = ConcurrencyMatrix(tfg.nodes, fill=UNDECIDED)
+    roots = tfg.roots
+    for i, a in enumerate(roots):
+        for b in roots[:i + 1]:
+            value = rel2.cells.value(a, b)
+            if value != UNDECIDED:
+                matrix.set_value(a, b, value)
+    return matrix
+
+
 def _reference_partial(tfg, rel2, rng=None):
     """The cell-worklist zero closure that `matrix_partial` replaced.
 
     Each decided-zero cell is queued once and runs all six axioms; `rng`,
     when given, pops the queue in a random order.
     """
-    matrix = ConcurrencyMatrix(tfg.nodes, fill=UNDECIDED)
+    matrix = _reference_seed(tfg, rel2)
     roots = tfg.roots
-    for i, a in enumerate(roots):
-        for b in roots[:i + 1]:
-            value = rel2.value(a, b)
-            if value != UNDECIDED:
-                matrix.set_value(a, b, value)
-    _propagate_roots(tfg, rel2, matrix)
+    _reference_propagate_roots(tfg, rel2, matrix)
 
     queue = deque()
 
@@ -197,19 +242,20 @@ def _reference_partial(tfg, rel2, rng=None):
     return matrix
 
 
-def _random_root_cells(rng, tfg, related_dead=0.0):
-    """Random root cells; a cell of a root decided dead is 1 only with
-    chance `related_dead`."""
-    cells = ConcurrencyMatrix(tfg.roots, fill=UNDECIDED)
-    n = len(tfg.roots)
+def _random_root_cells(rng, order, related_dead=0.0,
+                       values=(0, 1, UNDECIDED)):
+    """Random cells over `order` taking `values`; a cell of a node decided
+    dead is 1 only with chance `related_dead`."""
+    cells = ConcurrencyMatrix(order, fill=UNDECIDED)
+    n = len(order)
     for i in range(n):
-        cells.set_at(i, i, rng.choice((0, 1, UNDECIDED)))
+        cells.set_at(i, i, rng.choice(values))
     for i in range(n):
         for j in range(i):
             dead = 0 in (cells.value_at(i, i), cells.value_at(j, j))
             cells.set_at(i, j, rng.choice(
-                (0, UNDECIDED) if dead and rng.random() >= related_dead
-                else (0, 1, UNDECIDED)))
+                tuple(v for v in values if v != 1)
+                if dead and rng.random() >= related_dead else values))
     return cells
 
 
@@ -233,7 +279,7 @@ def test_root_relation_normalizes_like_cell_loops(tfg_corpus):
     rng = random.Random(5)
     raised = 0
     for tfg in tfg_corpus(72, 200):
-        cells = _random_root_cells(rng, tfg, related_dead=0.05)
+        cells = _random_root_cells(rng, tfg.roots, related_dead=0.05)
         rows, reference = cells.copy(), cells.copy()
         try:
             _reference_normalize(tfg.roots, reference)
@@ -262,7 +308,7 @@ def _blanked_relations(safe_net_corpus, tfg_corpus):
                     masked.set_value(a, b, UNDECIDED)
         yield tfg, RootRelation.from_reduced_matrix(tfg, masked)
     for tfg in tfg_corpus(71, 200):
-        yield tfg, RootRelation(tfg, _random_root_cells(rng, tfg))
+        yield tfg, RootRelation(tfg, _random_root_cells(rng, tfg.roots))
 
 
 def test_partial_axioms_confluent(safe_net_corpus, tfg_corpus):
@@ -274,6 +320,79 @@ def test_partial_axioms_confluent(safe_net_corpus, tfg_corpus):
             cells = _reference_partial(tfg, rel2, shuffle)
             assert rows == cells
             assert rows.write_count == cells.write_count
+
+
+def _shuffled(matrix, rng):
+    """`matrix`'s cells over a shuffled node order."""
+    order = list(matrix.order)
+    rng.shuffle(order)
+    moved = ConcurrencyMatrix(order, fill=UNDECIDED)
+    for i, a in enumerate(order):
+        for b in order[:i + 1]:
+            moved.set_value(a, b, matrix.value(a, b))
+    return moved
+
+
+def _reduced_matrices(safe_net_corpus, tfg_corpus):
+    """Graphs with a place matrix over their place roots, in shuffled order:
+    the residual's exact and half-blanked relation, or random cells."""
+    rng = random.Random(17)
+    for doc in safe_net_corpus(64, 40):
+        result = reduce_net(doc)
+        tfg = build_tfg(result.equations, doc.net.places,
+                        result.residual.net.places)
+        reduced = oracle_matrix(result.residual.net, result.residual.initial)
+        masked = reduced.copy()
+        for i in range(masked.size):
+            for j in range(i):
+                if rng.random() < 0.5:
+                    masked.set_at(i, j, UNDECIDED)
+        yield tfg, _shuffled(reduced, rng)
+        yield tfg, _shuffled(masked, rng)
+    for tfg in tfg_corpus(73, 200):
+        places = [r for r in tfg.roots if isinstance(r, str)]
+        rng.shuffle(places)
+        yield tfg, _random_root_cells(rng, places, related_dead=0.3)
+
+
+def test_from_reduced_matrix_matches_cell_copy(safe_net_corpus, tfg_corpus):
+    raised = moved = 0
+    for tfg, reduced in _reduced_matrices(safe_net_corpus, tfg_corpus):
+        places = tuple(r for r in tfg.roots if isinstance(r, str))
+        moved += reduced.order != places
+        try:
+            reference = _reference_from_reduced_matrix(tfg, reduced)
+        except InvalidRootRelation as exc:
+            raised += 1
+            with pytest.raises(InvalidRootRelation) as err:
+                RootRelation.from_reduced_matrix(tfg, reduced)
+            assert str(err.value) == str(exc)
+            continue
+        rel2 = RootRelation.from_reduced_matrix(tfg, reduced)
+        assert rel2.cells == reference.cells
+        assert rel2.cells.write_count == reference.cells.write_count
+    assert 0 < raised < 100 and moved > 50
+
+
+def test_propagate_roots_matches_pair_loop(safe_net_corpus, tfg_corpus):
+    rng = random.Random(19)
+    complete = [(tfg, RootRelation(tfg, _random_root_cells(
+        rng, tfg.roots, values=(0, 1)))) for tfg in tfg_corpus(74, 100)]
+    for tfg, rel2 in [*_blanked_relations(safe_net_corpus, tfg_corpus),
+                      *complete]:
+        for fill in (UNDECIDED, 0):
+            rows = ConcurrencyMatrix(tfg.nodes, fill=fill)
+            pairs = ConcurrencyMatrix(tfg.nodes, fill=fill)
+            row_stats, pair_stats = PropagationStats(), PropagationStats()
+            _propagate_roots(tfg, rel2, rows, row_stats)
+            _reference_propagate_roots(tfg, rel2, pairs, pair_stats)
+            assert rows == pairs
+            assert rows.write_count == pairs.write_count
+            assert row_stats == pair_stats
+        if rel2.complete:
+            complete = matrix_complete(tfg, rel2)
+            assert complete == pairs
+            assert complete.write_count == pairs.write_count
 
 
 def test_partial_accuracy_contract(safe_net_corpus):
@@ -304,9 +423,9 @@ def test_partial_accuracy_contract(safe_net_corpus):
             for q in doc.net.places:
                 roots_p, roots_q = ancestors.get(p, []), ancestors.get(q, [])
                 decided = (
-                    all(rel2.value(a, a) != UNDECIDED
+                    all(rel2.cells.value(a, a) != UNDECIDED
                         for a in roots_p + roots_q)
-                    and all(rel2.value(a, b) != UNDECIDED
+                    and all(rel2.cells.value(a, b) != UNDECIDED
                             for a in roots_p for b in roots_q))
                 if decided:
                     assert C.value(p, q) != UNDECIDED, (p, q)
@@ -332,6 +451,36 @@ def test_stats_and_write_bounds(fig_tfg):
     n = len(fig_tfg.nodes)
     assert stats.body_runs <= not_dead
     assert C.write_count <= n * (n + 1) // 2
+
+
+def _wide_inputs(n, rng):
+    """A graph over n residual places, each with a duplicate, the residual
+    order shuffled, and a place matrix relating 70% of the place pairs,
+    complete and with half of its off-diagonal cells blank."""
+    system = parse_equation_system(
+        "".join(f"# R |- d{i} = p{i}\n" for i in range(n)))
+    residual = [f"p{i}" for i in range(n)]
+    rng.shuffle(residual)
+    tfg = build_tfg(system, (*(f"p{i}" for i in range(n)),
+                             *(f"d{i}" for i in range(n))), tuple(residual))
+    rows = ["".join("1" if j == i or rng.random() < 0.7 else "0"
+                    for j in range(i + 1)) for i in range(n)]
+    blank = ["".join(c if j == i or rng.random() < 0.5 else "."
+                     for j, c in enumerate(row)) for i, row in enumerate(rows)]
+    return tfg, *(read_matrix("\n".join([str(n), *residual, *cells]) + "\n")
+                  for cells in (rows, blank))
+
+
+def test_root_rows_cost_at_a_thousand_roots():
+    # the root relation and both kernels work on whole rows: one pair loop
+    # over the roots, or a bit-by-bit transpose, takes several times this
+    tfg, full, half = _wide_inputs(1000, random.Random(29))
+    start = time.perf_counter()
+    complete = matrix_complete(tfg, RootRelation.from_reduced_matrix(tfg, full))
+    partial = matrix_partial(tfg, RootRelation.from_reduced_matrix(tfg, half))
+    assert time.perf_counter() - start < 3.0
+    assert complete.complete and complete.value("d7", "p7") == 1
+    assert partial.value("d7", "d7") == 1
 
 
 # sha256 over the pipeline outputs of the seed-2024 corpus, computed with

@@ -1,9 +1,10 @@
 """The bit-row matrix core against cell-by-cell references.
 
 Each row operation of `ConcurrencyMatrix` (`relate`, `full_rows`,
-`add_zeros`, `restrict`, `copy`) and each row-wise reader
-(`compare_matrices`, `read_matrix`) is checked on seeded random cases
-against the cell loop it replaces.
+`add_ones`, `add_zeros`, `restrict`, `copy`), the row mover `permute` and
+each row-wise reader (`compare_matrices`, `read_matrix`) is checked on
+seeded random cases against the cell loop it replaces; every write keeps
+the rows symmetric.
 """
 
 import random
@@ -12,7 +13,8 @@ import pytest
 
 from coplaces.errors import BadSymbol
 from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
-                             compare_matrices, read_matrix, write_matrix)
+                             compare_matrices, permute, read_matrix,
+                             write_matrix)
 
 
 def _order(n):
@@ -30,6 +32,17 @@ def _random_matrix(rng, n):
 def _cells(matrix):
     return [[matrix.value_at(i, j) for j in range(i + 1)]
             for i in range(matrix.size)]
+
+
+def _symmetric_rows(rng, n, chance=0.5):
+    """Rows of a random symmetric relation over n nodes."""
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1):
+            if rng.random() < chance:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
 
 
 def _mask_pairs(rng, n):
@@ -96,8 +109,7 @@ def test_add_zeros_matches_set_at_loop(seed):
                   ConcurrencyMatrix(_order(n), fill=UNDECIDED),
                   _random_matrix(rng, n))
         for start in starts:
-            for rows in ([0] * n, [full] * n,
-                         [rng.getrandbits(n) for _ in range(n)]):
+            for rows in ([0] * n, [full] * n, _symmetric_rows(rng, n)):
                 fast, slow = start.copy(), start.copy()
                 fast.add_zeros(rows)
                 for i in range(n):
@@ -110,6 +122,67 @@ def test_add_zeros_matches_set_at_loop(seed):
                     for j in range(i + 1):
                         if start.value_at(i, j) == 1:
                             assert fast.value_at(i, j) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_add_ones_matches_set_at_loop(seed):
+    rng = random.Random(seed)
+    for n in (1, 2, 7, 40, 70):
+        full = (1 << n) - 1
+        starts = (ConcurrencyMatrix(_order(n), fill=0),
+                  ConcurrencyMatrix(_order(n), fill=UNDECIDED),
+                  _random_matrix(rng, n))
+        for start in starts:
+            for rows in ([0] * n, [full] * n, _symmetric_rows(rng, n)):
+                fast, slow = start.copy(), start.copy()
+                fast.add_ones(rows)
+                for i in range(n):
+                    for j in range(i + 1):
+                        if rows[i] >> j & 1:
+                            slow.set_at(i, j, 1)
+                assert _cells(fast) == _cells(slow)
+                assert fast == slow
+                assert fast.write_count == slow.write_count
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_permute_matches_bit_loop(seed):
+    rng = random.Random(seed)
+    for old in (0, 1, 2, 7, 40, 70):
+        for new in {old, old + 1, old + rng.randrange(1, 40)} - {0}:
+            # every old node at a random new place, the rest of them absent
+            source = list(range(old)) + [-1] * (new - old)
+            rng.shuffle(source)
+            for mask in (0, (1 << old) - 1, rng.getrandbits(old)):
+                expected = sum(1 << k for k, s in enumerate(source)
+                               if s >= 0 and mask >> s & 1)
+                assert permute(mask, source) == expected
+    assert permute(0, []) == 0
+    assert permute(0b101, [2, -1, 0, 1]) == 0b101
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rows_stay_symmetric(seed):
+    rng = random.Random(seed)
+    for n in (1, 2, 7, 40, 70):
+        matrix = ConcurrencyMatrix(_order(n), fill=rng.choice((0, 1, UNDECIDED)))
+        for _ in range(30):
+            step = rng.randrange(4)
+            if step == 0:
+                matrix.set_at(rng.randrange(n), rng.randrange(n),
+                              rng.choice((0, 1, UNDECIDED)))
+            elif step == 1:
+                matrix.relate(rng.getrandbits(n), rng.getrandbits(n))
+            elif step == 2:
+                matrix.add_ones(_symmetric_rows(rng, n, 0.1))
+            else:
+                matrix.add_zeros(_symmetric_rows(rng, n, 0.3))
+            ones, zeros = matrix.full_rows()
+            for rows in (ones, zeros):
+                for i in range(n):
+                    assert rows[i] >> n == 0
+                    for j in range(n):
+                        assert rows[i] >> j & 1 == rows[j] >> i & 1
 
 
 def _reference_report(a, b):
