@@ -21,8 +21,8 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .errors import (AnalysisError, CoplacesError, InputFormatError,
-                     IncompleteRootRelation)
+from .errors import (AnalysisError, BudgetExhausted, CoplacesError,
+                     InputFormatError, IncompleteRootRelation)
 from .formats import load_net, read_text, write_net_text
 from .kernel import RootRelation, matrix_complete, matrix_partial
 from .matrix import (MatrixDocument, compare_matrices, read_matrix,
@@ -37,10 +37,6 @@ EXIT_FORMAT = 2
 EXIT_ANALYSIS = 3
 EXIT_CONTRADICTION = 4
 EXIT_TIMEOUT = 5
-
-
-class _TimeoutNoOutput(CoplacesError):
-    """Exploration timed out and the requested mode has nothing to emit."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,7 +83,7 @@ def _matrix_text(matrix, order, encoding: str) -> str:
 
 def _cmd_reduce(args) -> int:
     doc = load_net(args.net)
-    result = reduce_net(doc)
+    result = reduce_net(doc, budget=args.timeout)
     # both texts first: a name neither format reads back writes no file
     net_text = write_net_text(result.residual)
     eq_text = write_equation_system(result.equations)
@@ -108,7 +104,7 @@ def _cmd_matrix(args) -> int:
         matrix = oracle_matrix(doc1.net, doc1.initial, cap=args.cap,
                                budget=args.timeout)
         if not matrix.complete and not args.partial:
-            raise _TimeoutNoOutput(
+            raise BudgetExhausted(
                 "exploration hit the cap or the time budget; rerun with"
                 " --partial for a sound partial matrix")
         _write_output(_matrix_text(matrix, doc1.net.places, args.encoding),
@@ -132,7 +128,7 @@ def _cmd_matrix(args) -> int:
         matrix = matrix_partial(tfg, rel2)
     elif not rel2.complete:
         if args.oracle:
-            raise _TimeoutNoOutput(
+            raise BudgetExhausted(
                 "residual exploration hit the cap or the time budget and"
                 " the root relation is partial; rerun with --partial")
         raise IncompleteRootRelation(
@@ -183,11 +179,14 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_budget_flags(sub):
+    def add_timeout(sub, stage):
         sub.add_argument("--timeout", type=_positive(float),
                          default=DEFAULT_TIME_BUDGET,
-                         metavar="S", help="exploration wall-clock budget"
+                         metavar="S", help=f"{stage} wall-clock budget"
                                            " in seconds (default 60)")
+
+    def add_budget_flags(sub):
+        add_timeout(sub, "exploration")
         sub.add_argument("--cap", type=_positive(int), default=DEFAULT_STATE_CAP,
                          metavar="K", help="exploration state cap"
                                            " (default 1000000)")
@@ -197,6 +196,7 @@ def _build_parser() -> _Parser:
     sub.add_argument("-o", "--output", required=True, metavar="DIR",
                      help="directory receiving the residual net and"
                           " the equation file")
+    add_timeout(sub, "reduction")
     sub.set_defaults(func=_cmd_reduce)
 
     sub = commands.add_parser(
@@ -264,7 +264,7 @@ def dispatch(argv=None) -> int:
         return args.func(args)
     except SystemExit as exit_:
         return int(exit_.code or 0)
-    except _TimeoutNoOutput as exc:
+    except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT
     except InputFormatError as exc:

@@ -51,6 +51,10 @@ class AnalysisError(CoplacesError):
     """Input decodes but violates a semantic requirement of the analysis."""
 
 
+class BudgetExhausted(CoplacesError):
+    """The state cap or the time budget ran out with nothing to output."""
+
+
 # -- Petri net semantics -----------------------------------------------------
 
 class UnknownTransition(CoplacesError):

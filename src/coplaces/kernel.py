@@ -8,6 +8,12 @@ under a live node relates the cone accumulated so far with the arc's cone,
 and each node's row in the cone of a live root v takes the cones of the
 roots concurrent with v. Restricted to the initial places, it is exact.
 
+The root relation comes from a matrix file or from exploring the residual
+net (`RootRelation.exact`). Exploration goes part by part: the connected
+parts of the residual net fire independently, so its reachable markings
+are the product of the parts' markings, and each part is explored once on
+its own. Across parts, live places are concurrent and dead ones are not.
+
 The partial mode starts from an all-undecided matrix, seeds it with the
 root 0s, runs the same 1-propagation from roots known to be live, and
 then closes the matrix under six zero-propagation axioms (A1..A6 below).
@@ -37,15 +43,17 @@ member gives A3.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (IncompleteRootRelation, InvalidRootRelation, shown,
-                     shown_nodes)
+from .errors import (IncompleteRootRelation, InvalidRootRelation, NotSafe,
+                     shown, shown_nodes)
 from .formats import NetDocument
 from .matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument, bits,
                      permute)
-from .ptnet import DEFAULT_STATE_CAP, DEFAULT_TIME_BUDGET, oracle_matrix
+from .ptnet import (DEFAULT_STATE_CAP, DEFAULT_TIME_BUDGET,
+                    independent_parts, oracle_matrix)
 from .tfg import ConstantNode, Node, TokenFlowGraph
 
 
@@ -132,9 +140,46 @@ class RootRelation:
     def exact(cls, tfg: TokenFlowGraph, residual: NetDocument,
               cap: int = DEFAULT_STATE_CAP,
               budget: float | None = DEFAULT_TIME_BUDGET) -> "RootRelation":
-        """Compute the root relation from the residual net by exploration."""
-        matrix = oracle_matrix(residual.net, residual.initial,
-                               cap=cap, budget=budget)
+        """Compute the root relation from the residual net by exploration.
+
+        Each connected part of the residual net (`independent_parts`) is
+        explored once by `oracle_matrix`, with `cap` markings per part and
+        the time left of one `budget` shared by all parts, so the cost is
+        the sum of the parts' state spaces, not their product. The
+        reachable markings are the product of the parts' markings: across
+        parts, two places are concurrent when both are live and not when
+        either is dead, and undecided otherwise. A `NotSafe` from a part
+        carries that part's witness with every other place at its initial
+        marking.
+        """
+        deadline = None if budget is None else time.monotonic() + budget
+        order: list[str] = []
+        ones: list[int] = []
+        zeros: list[int] = []
+        spans: list[int] = []           # the part of each place, as a mask
+        for part in independent_parts(residual.net):
+            m0 = {p: residual.initial[p] for p in part.places}
+            left = None if deadline is None else deadline - time.monotonic()
+            try:
+                matrix = oracle_matrix(part, m0, cap=cap, budget=left)
+            except NotSafe as unsafe:
+                raise NotSafe({**residual.initial, **unsafe.witness}) from None
+            # the part's rows move up to its own bit range of `order`
+            shift, width = len(order), len(part.places)
+            part_ones, part_zeros = matrix.full_rows()
+            order.extend(part.places)
+            ones.extend(row << shift for row in part_ones)
+            zeros.extend(row << shift for row in part_zeros)
+            spans.extend([((1 << width) - 1) << shift] * width)
+        # live places of different parts are concurrent; the 0s of a dead
+        # place's row across parts come from `_normalize`
+        live = sum(1 << i for i, row in enumerate(ones) if row >> i & 1)
+        for i, span in enumerate(spans):
+            if live >> i & 1:
+                ones[i] |= live & ~span
+        matrix = ConcurrencyMatrix(order, fill=UNDECIDED)
+        matrix.add_ones(ones)
+        matrix.add_zeros(zeros)
         return cls.from_reduced_matrix(tfg, matrix)
 
 

@@ -124,8 +124,12 @@ class ReachabilitySet:
         return tuple(self.marking_from_mask(m) for m in self.masks)
 
     def __contains__(self, marking: Mapping[str, int]) -> bool:
-        """Whether the total `marking` was explored; a linear scan."""
-        return marking in self.markings
+        """Whether the total `marking` was explored; a scan of `masks`."""
+        if (marking.keys() != set(self.place_order)
+                or not set(marking.values()) <= {0, 1}):
+            return False
+        return sum(1 << i for i, p in enumerate(self.place_order)
+                   if marking[p]) in self.masks
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -225,6 +229,41 @@ def explore_reachable(net: PetriNet, m0: Mapping[str, int],
                 seen.add(new)
                 masks.append(new)
     return ReachabilitySet(net.places, masks, truncated=False)
+
+
+def independent_parts(net: PetriNet) -> list[PetriNet]:
+    """The connected parts of `net` as sub-nets, ordered by first place.
+
+    Two places share a part when some transition has both in its pre- or
+    post-set. A part keeps its places and the transitions touching them in
+    net order; a transition that touches no place belongs to no part, and
+    a place that no transition touches is a part of its own. Transitions
+    of different parts share no place, so the reachable markings of the
+    net are the product of those of its parts.
+    """
+    parent = list(range(len(net.places)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    ends = {t: [net.place_index(p) for p in (*net.pre[t], *net.post[t])]
+            for t in net.transitions}
+    for t, touched in ends.items():
+        for i in touched[1:]:
+            parent[find(i)] = find(touched[0])
+    places: dict[int, list[str]] = {}
+    for i, p in enumerate(net.places):
+        places.setdefault(find(i), []).append(p)
+    transitions: dict[int, list[str]] = {root: [] for root in places}
+    for t, touched in ends.items():
+        if touched:
+            transitions[find(touched[0])].append(t)
+    return [PetriNet(places[root], transitions[root],
+                     {t: net.pre[t] for t in transitions[root]},
+                     {t: net.post[t] for t in transitions[root]})
+            for root in places]
 
 
 def oracle_matrix(net: PetriNet, m0: Mapping[str, int],

@@ -20,7 +20,9 @@ Each pass applies one rule once. It first derives every place's sparse
 column ``{t: (pre, post)}`` (the transitions touching it, in transition
 order) in one sweep over the arcs, and the rules read only columns;
 duplicates are found by grouping places on (marking, column). A pass
-costs O(arcs), and a net of P places needs at most P passes.
+costs O(arcs), and a net of P places needs at most P passes. A pass
+starts only while the time budget lasts; `BudgetExhausted` ends the run
+otherwise.
 
 Richer reducers exist; the point of keeping this catalogue small is that
 the downstream reconstruction accepts externally produced equation files
@@ -30,11 +32,13 @@ plugged in front.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from typing import Optional
 
+from .errors import BudgetExhausted
 from .formats import NetDocument
 from .ptnet import PetriNet
 from .tfg import Equation, EquationSystem
@@ -153,23 +157,28 @@ class _Reducer:
             return True
         return False
 
-    def run(self) -> None:
+    def run(self, deadline: float | None) -> None:
         while True:
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExhausted("reduction ran out of its time budget")
             cols = self.columns()
             if not (self.apply_duplicate(cols) or self.apply_constant(cols)
                     or self.apply_chain(cols)):
                 return
 
 
-def reduce_net(doc: NetDocument) -> ReductionResult:
+def reduce_net(doc: NetDocument,
+               budget: float | None = None) -> ReductionResult:
     """Reduce a (safe) net to a fixpoint of the three rule families.
 
     Returns the residual net, the ordered tagged equation system relating
     the two nets, and the reduction ratio. When no rule applies the result
     is the identity: the residual equals the input and the ratio is 0.
+    Raises `BudgetExhausted` when the wall-clock `budget` in seconds runs
+    out before the fixpoint; None means no budget.
     """
     reducer = _Reducer(doc)
-    reducer.run()
+    reducer.run(None if budget is None else time.monotonic() + budget)
     net = PetriNet(reducer.places, reducer.transitions, reducer.pre,
                    reducer.post)
     residual = NetDocument(net, net.make_marking(reducer.marking))

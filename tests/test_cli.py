@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,10 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 import coplaces
 from coplaces.cli import dispatch
-from coplaces.formats import NetDocument, write_net_text
+from coplaces.errors import NotSafe
+from coplaces.formats import NetDocument, load_net, write_net_text
+from coplaces.kernel import RootRelation
 from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
                              read_matrix, write_matrix)
 from coplaces.ptnet import PetriNet
+from coplaces.reductions import reduce_net
+from coplaces.tfg import build_tfg
 
 
 def run(capsys, *argv):
@@ -347,6 +352,81 @@ def test_timeout_without_output(tmp_path, capsys, fixture_path):
                           "--cap", "2", "--partial")
     assert code == 0
     assert "." in stdout
+
+
+def test_reduce_timeout_exits_5_and_writes_nothing(tmp_path, capsys):
+    # a closed chain of 3,000 places needs 2,999 reducer passes, seconds
+    # of work; the deadline is checked before each pass
+    n = 3000
+    net = tmp_path / "ring.net"
+    net.write_text("".join(f"pl p{i}{' 1' * (i == 0)}\n" for i in range(n))
+                   + "".join(f"tr t{i} : p{i} -> p{(i + 1) % n}\n"
+                             for i in range(n)))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "reduce", str(net), "-o", str(out),
+                            "--timeout", "0.2")
+    assert time.perf_counter() - start < 3.0
+    assert code == 5 and "time budget" in err and stdout == ""
+    assert not out.exists() or not any(out.iterdir())
+
+
+def _choice_components(count):
+    """`count` irreducible choice components a -> b | c, each b with a
+    duplicate d: every component has three residual markings."""
+    lines = []
+    for k in range(count):
+        lines += [f"pl a{k} 1", f"pl b{k}", f"pl c{k}", f"pl d{k}",
+                  f"tr ab{k} : a{k} -> b{k} d{k}", f"tr ac{k} : a{k} -> c{k}",
+                  f"tr ba{k} : b{k} d{k} -> a{k}", f"tr ca{k} : c{k} -> a{k}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_matrix_oracle_explores_each_part_once(tmp_path, capsys):
+    # 12 components: 3^12 = 531,441 product markings, 36 part markings
+    net = tmp_path / "choice.net"
+    net.write_text(_choice_components(12))
+    out = tmp_path / "out"
+    assert run(capsys, "reduce", str(net), "-o", str(out))[0] == 0
+    pipeline = ("matrix", str(net), "--equations", str(out / "choice.eq"),
+                "--reduced", str(out / "choice.reduced.net"), "--oracle")
+    start = time.perf_counter()
+    code, text, _ = run(capsys, *pipeline)
+    assert time.perf_counter() - start < 3.0
+    assert code == 0
+    doc = read_matrix(text)
+    for a in doc.order:
+        for b in doc.order:
+            same = a[1:] == b[1:]
+            expected = a == b or {a[0], b[0]} == {"b", "d"} or not same
+            assert doc.matrix.value(a, b) == expected, (a, b)
+    # the cap bounds the markings of each part, not of the product
+    assert run(capsys, *pipeline, "--cap", "3")[:2] == (0, text)
+
+
+def test_unsafe_part_exits_3_with_a_total_witness(tmp_path, capsys):
+    net = tmp_path / "mixed.net"
+    # the part {u, v, w} puts a second token in v on its third firing
+    net.write_text(_choice_components(1) + "pl u 1\npl v\npl w\n"
+                   "tr t : u -> w v\ntr s : w -> u\n")
+    out = tmp_path / "out"
+    assert run(capsys, "reduce", str(net), "-o", str(out))[0] == 0
+    code, _, err = run(capsys, "matrix", str(net),
+                       "--equations", str(out / "mixed.eq"),
+                       "--reduced", str(out / "mixed.reduced.net"), "--oracle")
+    assert code == 3
+    assert err == ("error: net is not 1-bounded,"
+                   " witness marking {a0:1, v:2, w:1}\n")
+
+    doc = load_net(str(net))
+    result = reduce_net(doc)
+    residual = result.residual
+    tfg = build_tfg(result.equations, doc.net.places, residual.net.places)
+    with pytest.raises(NotSafe) as unsafe:
+        RootRelation.exact(tfg, residual)
+    assert list(unsafe.value.witness) == list(residual.net.places)
+    assert unsafe.value.witness == {**residual.initial, "u": 0, "v": 2,
+                                    "w": 1}
 
 
 def test_rle_flag(capsys, fixture_path):

@@ -11,10 +11,10 @@ from coplaces.errors import IncompleteRootRelation, InvalidRootRelation
 from coplaces.kernel import (PropagationStats, RootRelation, _propagate_roots,
                              matrix_complete, matrix_partial, propagate_node)
 from coplaces.tfg import ConstantNode
-from coplaces.formats import write_net_text
+from coplaces.formats import NetDocument, write_net_text
 from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
                              bits, read_matrix, write_matrix)
-from coplaces.ptnet import oracle_matrix
+from coplaces.ptnet import PetriNet, independent_parts, oracle_matrix
 from coplaces.reductions import reduce_net
 from coplaces.tfg import (build_tfg, parse_equation_system, successors,
                           write_equation_system)
@@ -481,6 +481,59 @@ def test_root_rows_cost_at_a_thousand_roots():
     assert time.perf_counter() - start < 3.0
     assert complete.complete and complete.value("d7", "p7") == 1
     assert partial.value("d7", "d7") == 1
+
+
+def _disjoint_union(docs, rng):
+    """One net made of renamed copies of `docs`, with the places and the
+    transitions of the copies shuffled together."""
+    places, transitions, pre, post, marking = [], [], {}, {}, {}
+    for k, doc in enumerate(docs):
+        name = f"u{k}_{{}}".format
+        places += [name(p) for p in doc.net.places]
+        transitions += [name(t) for t in doc.net.transitions]
+        for flow, arcs in ((pre, doc.net.pre), (post, doc.net.post)):
+            flow.update({name(t): {name(p): w for p, w in arcs[t].items()}
+                         for t in doc.net.transitions})
+        marking.update({name(p): n for p, n in doc.initial.items()})
+    rng.shuffle(places)
+    rng.shuffle(transitions)
+    net = PetriNet(places, transitions, pre, post)
+    return NetDocument(net, net.make_marking(marking))
+
+
+def _split_cases(safe_net_corpus):
+    """Reduced corpus nets, then disjoint unions of two or three of them."""
+    corpus = safe_net_corpus(2024, 500)
+    rng = random.Random(8)
+    unions = [_disjoint_union(rng.sample(corpus, rng.randint(2, 3)), rng)
+              for _ in range(150)]
+    for doc in corpus + unions:
+        result = reduce_net(doc)
+        yield (build_tfg(result.equations, doc.net.places,
+                         result.residual.net.places), result.residual)
+
+
+def test_exact_by_parts_matches_whole_net(safe_net_corpus):
+    split = 0
+    for tfg, residual in _split_cases(safe_net_corpus):
+        whole = oracle_matrix(residual.net, residual.initial)
+        reference = RootRelation.from_reduced_matrix(tfg, whole)
+        assert RootRelation.exact(tfg, residual).cells == reference.cells
+        parts = independent_parts(residual.net)
+        split += sum(len(part.transitions) > 0 for part in parts) >= 2
+        # sound at small caps, and here never less decided than one
+        # exploration of the whole net under the same cap
+        true_ones, true_zeros = reference.cells.full_rows()
+        for cap in (1, 2, 3, 5):
+            cells = RootRelation.exact(tfg, residual, cap=cap).cells
+            ones, zeros = cells.full_rows()
+            assert not any(o & z for o, z in zip(ones, true_zeros)), cap
+            assert not any(z & o for z, o in zip(zeros, true_ones)), cap
+            capped = RootRelation.from_reduced_matrix(tfg, oracle_matrix(
+                residual.net, residual.initial, cap=cap)).cells.full_rows()
+            assert not any((o | z) & ~(a | b) for o, z, a, b
+                           in zip(*capped, ones, zeros)), cap
+    assert split >= 100
 
 
 # sha256 over the pipeline outputs of the seed-2024 corpus, computed with

@@ -6,7 +6,7 @@ from coplaces.errors import NotEnabled, NotSafe, UnknownTransition
 from coplaces.formats import parse_net_text
 from coplaces.matrix import UNDECIDED
 from coplaces.ptnet import (PetriNet, explore_reachable, fire_transition,
-                            oracle_matrix)
+                            independent_parts, oracle_matrix)
 
 
 def test_fire_moves_single_token(seq2):
@@ -85,6 +85,33 @@ def test_explore_closed_under_firing(safe_net_corpus):
                     continue
                 assert successor in result
                 assert all(n >= 0 for n in successor.values())
+
+
+def test_membership_tests_masks(fork, safe_net_corpus):
+    result = explore_reachable(fork.net, fork.initial)
+    assert {"p0": 1, "p1": 0, "p2": 0} in result
+    assert {"p0": 0, "p1": 1, "p2": 0} not in result      # never reached
+    assert {"p0": 1} not in result                        # not total
+    assert {"p0": 1, "p1": 0, "p2": 0, "q": 0} not in result
+    assert {"p0": 2, "p1": 0, "p2": 0} not in result
+    # the same answers as a scan of the explored markings
+    for doc in safe_net_corpus(31, 40):
+        result = explore_reachable(doc.net, doc.initial)
+        places = doc.net.places
+        for mask in range(1 << len(places)):
+            marking = {p: mask >> i & 1 for i, p in enumerate(places)}
+            assert (marking in result) == (marking in result.markings)
+
+
+def test_independent_parts():
+    doc = parse_net_text("pl a 1\npl b\npl c\npl d 1\npl e\npl f\n"
+                         "tr t : a -> c\ntr u : d -> e\ntr v : c -> a\n"
+                         "tr w : ->\ntr x : e -> d f\n")
+    parts = independent_parts(doc.net)
+    assert [(part.places, part.transitions) for part in parts] == [
+        (("a", "c"), ("t", "v")), (("b",), ()),
+        (("d", "e", "f"), ("u", "x"))]
+    assert parts[2].post["x"] == {"d": 1, "f": 1}
 
 
 def _reference_masks(net, m0):
