@@ -15,6 +15,7 @@ requested file, written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -172,7 +173,9 @@ def _cmd_check_tfg(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # parse_args leaves the parser as it was, so one serves every dispatch
     parser = _Parser(prog="coplaces",
                      description="Dead places and concurrency relations of"
                                  " safe Petri nets via structural reduction")

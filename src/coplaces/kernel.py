@@ -30,10 +30,14 @@ Axioms, where a "group" is one equation head v with members X:
 * A5  if every member is nonconcurrent with w, so is the head;
 * A6  if the head is nonconcurrent with w, so is every member.
 
-The closure works on node rows: each node keeps the mask of the nodes it is
-decided nonconcurrent with, and a node whose row grows runs A1, A5 and A6
-as mask operations until no row grows; A4 seeds it. Axioms only turn
-undecided cells into 0, so the fixpoint does not depend on the order.
+The closure works on whole node rows: each node keeps the mask of the
+nodes it is decided nonconcurrent with; A4 seeds it. A round repeats
+passes until no row grows, each pass running A6 over the groups heads
+first, A5 members first and A1 on the dead rows, then one transpose
+mirrors the round's new 0s into the columns; rounds stop when a pass over
+freshly mirrored rows adds nothing. Axioms only turn undecided cells into
+0 and the rule set is closed under transposition, so the result is the
+least symmetric fixpoint, whatever the order of groups and passes.
 A2 and A3 need no code: a node with a 1 in its row has a 1 on its diagonal
 (propagation writes the diagonal of every node it relates, and
 `RootRelation` rejects a dead root that is related), so A1 makes a dead
@@ -51,10 +55,10 @@ from .errors import (IncompleteRootRelation, InvalidRootRelation, NotSafe,
                      shown, shown_nodes)
 from .formats import NetDocument
 from .matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument, bits,
-                     permute)
+                     permute, transpose)
 from .ptnet import (DEFAULT_STATE_CAP, DEFAULT_TIME_BUDGET,
                     independent_parts, oracle_matrix)
-from .tfg import ConstantNode, Node, TokenFlowGraph
+from .tfg import ConstantNode, Group, Node, TokenFlowGraph
 
 
 @dataclass
@@ -264,6 +268,81 @@ def matrix_complete(tfg: TokenFlowGraph, rel2: RootRelation,
     return matrix
 
 
+def _heads_first(tfg: TokenFlowGraph) -> list[Group]:
+    """The groups, each before every group headed by one of its members.
+
+    Kahn's algorithm over the head-to-member arcs. They form no cycle: a
+    cycle of A groups or of R groups is a cycle of the graph, and a mixed
+    cycle steps from an A group to an R group through a node that both
+    remove (T3).
+    """
+    waiting = {group: len(tfg.member_groups_of.get(group.head, ()))
+               for group in tfg.groups}
+    ready = [group for group, count in waiting.items() if not count]
+    order = []
+    while ready:
+        group = ready.pop()
+        order.append(group)
+        for member in group.members:
+            for below in tfg.head_groups_of.get(member, ()):
+                waiting[below] -= 1
+                if not waiting[below]:
+                    ready.append(below)
+    return order
+
+
+def _close_zeros(tfg: TokenFlowGraph, groups: list[Group],
+                 ones: list[int], zeros: list[int]) -> list[int]:
+    """Symmetric 0-rows `zeros` closed under A1, A4, A5 and A6, never over a
+    1 of the symmetric `ones`.
+
+    Each round repeats passes over the rows until they stop changing: A6
+    over `groups` in order, A5 in reverse order, then A1. One transpose then
+    mirrors the round's 0s. Listing each group before the groups headed by
+    its members (`_heads_first`) saves passes; any order gives the same
+    rows, the least symmetric ones that the axioms close.
+    """
+    index, n = tfg.index, len(zeros)
+    free = [~row & ((1 << n) - 1) for row in ones]
+    zeros = list(zeros)
+    # A4 holds unconditionally on safe nets: equation members exclude
+    # each other because their sum is bounded by one
+    for group in tfg.groups:
+        members = [index[m] for m in group.members]
+        siblings = sum({1 << m for m in members})
+        for m in members:
+            zeros[m] |= siblings & ~(1 << m) & free[m]
+    rows = [(index[group.head], [index[m] for m in group.members])
+            for group in groups]
+
+    def closure_pass() -> bool:
+        before = zeros[:]
+        for head, members in rows:
+            # A6: head nonconcurrent with w, so are the members
+            for m in members:
+                zeros[m] |= zeros[head] & free[m]
+        for head, members in reversed(rows):
+            # A5: all members nonconcurrent with w, so is the head
+            common = free[head]
+            for m in members:
+                common &= zeros[m]
+            zeros[head] |= common
+        for v, row in enumerate(zeros):
+            # A1: a dead node is nonconcurrent with everything
+            if row >> v & 1:
+                zeros[v] = free[v]
+        return zeros != before
+
+    # A2 and A3 follow from A1, A5 and A6 (see the module docstring); the
+    # rows are symmetric on entry and after each transpose, so a pass that
+    # changes nothing there ends the closure
+    while closure_pass():
+        while closure_pass():
+            pass
+        zeros = [row | column for row, column in zip(zeros, transpose(zeros, n))]
+    return zeros
+
+
 def matrix_partial(tfg: TokenFlowGraph, rel2: RootRelation) -> ConcurrencyMatrix:
     """Sound partial concurrency matrix from a partial root relation.
 
@@ -278,44 +357,5 @@ def matrix_partial(tfg: TokenFlowGraph, rel2: RootRelation) -> ConcurrencyMatrix
     matrix.add_zeros([permute(zeros[s], source) if s >= 0 else 0
                       for s in source])
     _propagate_roots(tfg, rel2, matrix)
-
-    ones, zeros = matrix.full_rows()
-    pending = {v for v, row in enumerate(zeros) if row}
-    index, everything = tfg.index, (1 << len(tfg.nodes)) - 1
-
-    def add_zeros(v: int, mask: int) -> None:
-        new = mask & ~(ones[v] | zeros[v])
-        if new:
-            zeros[v] |= new
-            pending.add(v)
-            for w in bits(new):
-                zeros[w] |= 1 << v
-                pending.add(w)
-
-    # A4 holds unconditionally on safe nets: equation members exclude
-    # each other because their sum is bounded by one
-    for group in tfg.groups:
-        members = [index[m] for m in group.members]
-        siblings = sum({1 << m for m in members})
-        for m in members:
-            add_zeros(m, siblings & ~(1 << m))
-
-    # A2 and A3 follow from A1, A5 and A6 (see the module docstring)
-    while pending:
-        v = pending.pop()
-        node = tfg.nodes[v]
-        # A1: a dead node is nonconcurrent with everything
-        if zeros[v] >> v & 1:
-            add_zeros(v, everything)
-        # A6: head nonconcurrent with w, so are the members
-        for group in tfg.head_groups_of.get(node, ()):
-            for member in group.members:
-                add_zeros(index[member], zeros[v])
-        # A5: all members nonconcurrent with w, so is the head
-        for group in tfg.member_groups_of.get(node, ()):
-            common = everything
-            for member in group.members:
-                common &= zeros[index[member]]
-            add_zeros(index[group.head], common)
-    matrix.add_zeros(zeros)
+    matrix.add_zeros(_close_zeros(tfg, _heads_first(tfg), *matrix.full_rows()))
     return matrix

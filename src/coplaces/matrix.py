@@ -38,6 +38,8 @@ from .errors import (BadHeader, BadSymbol, OrderMismatch, RowLengthMismatch,
 #: Cell value for "relation not decided yet".
 UNDECIDED = 2
 
+_BLOCK = 512        # rows per text in `transpose`
+
 
 def parse_count(text: str) -> int | None:
     """`text` as a count if it is ASCII digits that `int` converts, else None."""
@@ -79,6 +81,25 @@ def permute(mask: int, source: Sequence[int]) -> int:
     # bit j of `mask` at position j, and a 0 at position -1
     text = format(mask, f"0{len(source) + 1}b")[::-1]
     return int("".join(itemgetter(*source)(text))[::-1], 2)
+
+
+def transpose(rows: Sequence[int], width: int) -> list[int]:
+    """The `width` columns of `rows`: bit j of column k is bit k of rows[j].
+
+    Rows are below ``2**width``. They are read `_BLOCK` at a time as one
+    '0'/'1' text, from which each column is one stride slice, so scratch
+    memory stays at width * `_BLOCK` characters.
+    """
+    columns = [0] * width
+    for start in range(0, len(rows), _BLOCK):
+        # the block's last row first, each most significant bit first:
+        # bit k of row start + t is character width-1-k of the t-th row
+        # from the end, so the slice reads the column highest row first
+        text = "".join(format(row, f"0{width}b")
+                       for row in reversed(rows[start:start + _BLOCK]))
+        for k in range(width):
+            columns[k] |= int(text[width - 1 - k::width], 2) << start
+    return columns
 
 
 class ConcurrencyMatrix:
@@ -177,11 +198,14 @@ class ConcurrencyMatrix:
 
     def row_symbols(self, i: int) -> str:
         """Row i of the triangle as a symbol string of length i + 1."""
-        low = (2 << i) - 1
-        row = list(format(self._ones[i] & low, f"0{i + 1}b")[::-1])
-        for j in bits(~(self._ones[i] | self._zeros[i]) & low):
-            row[j] = "."
-        return "".join(row)
+        low, width = (2 << i) - 1, i + 1
+        ones = self._ones[i] & low
+        undecided = ~(ones | self._zeros[i]) & low
+        # an undecided cell's '0' gains 2 to become '2', shown as '.'
+        row = (int.from_bytes(format(ones, f"0{width}b").encode(), "big")
+               + int.from_bytes(format(undecided, f"0{width}b").encode()
+                                .translate(_TWOS), "big"))
+        return row.to_bytes(width, "big").translate(_DOTS)[::-1].decode()
 
     def restrict(self, order: Sequence) -> "ConcurrencyMatrix":
         """Sub-matrix over `order`, which must be a prefix of the nodes."""
@@ -252,6 +276,8 @@ def _encode_row_rle(row: str) -> str:
 _RLE_TOKEN = re.compile(r"(\d+)\(([01.])\)|([01.])")
 _BAD_SYMBOL = re.compile(r"[^01.]")
 _ZERO_BITS = str.maketrans("01.", "100")
+_TWOS = bytes.maketrans(b"01", b"\x00\x02")
+_DOTS = bytes.maketrans(b"2", b".")
 
 
 def _decode_row_rle(text: str, row: int) -> str:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coplaces
+from coplaces import cli
 from coplaces.cli import dispatch
 from coplaces.errors import NotSafe
 from coplaces.formats import NetDocument, load_net, write_net_text
@@ -154,6 +155,23 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
                    ("--timeout", "nan"), ("--cap", "0")):
         code, _, err = run(capsys, "oracle", str(unsafe), *budget)
         assert code == 1 and "not positive" in err
+
+
+def test_one_parser_serves_every_dispatch(capsys, fixture_path):
+    # the parser is built once per process; what each call prints and
+    # returns must not depend on the calls before it
+    calls = [("oracle", fixture_path("m1.net"), "--cap", "0"),
+             ("matrix", fixture_path("m1.net"), "--equations", "m1.eq"),
+             ("matrix", fixture_path("m1.net"), "--rle"),
+             ("--version",)]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [1, 1, 0, 0]
+    cli._build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert cli._build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("command", [

@@ -8,12 +8,13 @@ from collections import deque
 import pytest
 
 from coplaces.errors import IncompleteRootRelation, InvalidRootRelation
-from coplaces.kernel import (PropagationStats, RootRelation, _propagate_roots,
-                             matrix_complete, matrix_partial, propagate_node)
+from coplaces.kernel import (PropagationStats, RootRelation, _close_zeros,
+                             _heads_first, _propagate_roots, matrix_complete,
+                             matrix_partial, propagate_node)
 from coplaces.tfg import ConstantNode
 from coplaces.formats import NetDocument, write_net_text
 from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
-                             bits, read_matrix, write_matrix)
+                             bits, permute, read_matrix, write_matrix)
 from coplaces.ptnet import PetriNet, independent_parts, oracle_matrix
 from coplaces.reductions import reduce_net
 from coplaces.tfg import (build_tfg, parse_equation_system, successors,
@@ -322,6 +323,108 @@ def test_partial_axioms_confluent(safe_net_corpus, tfg_corpus):
             assert rows.write_count == cells.write_count
 
 
+def _reference_row_closure(tfg, rel2):
+    """The pending-node zero closure `matrix_partial` ran before the rounds.
+
+    Each new 0 of row v is mirrored into row w one bit at a time, and every
+    node whose row grew runs A1, A6 and A5 again. Also returns how many
+    derived 0s met a 1 (and were dropped).
+    """
+    matrix = ConcurrencyMatrix(tfg.nodes, fill=UNDECIDED)
+    source = [rel2.cells.index.get(node, -1) for node in tfg.nodes]
+    _, zeros = rel2.cells.full_rows()
+    matrix.add_zeros([permute(zeros[s], source) if s >= 0 else 0
+                      for s in source])
+    _propagate_roots(tfg, rel2, matrix)
+
+    ones, zeros = matrix.full_rows()
+    pending = {v for v, row in enumerate(zeros) if row}
+    index, everything = tfg.index, (1 << len(tfg.nodes)) - 1
+    met = 0
+
+    def add_zeros(v, mask):
+        nonlocal met
+        met += bool(mask & ones[v])
+        new = mask & ~(ones[v] | zeros[v])
+        if new:
+            zeros[v] |= new
+            pending.add(v)
+            for w in bits(new):
+                zeros[w] |= 1 << v
+                pending.add(w)
+
+    for group in tfg.groups:                                    # A4
+        members = [index[m] for m in group.members]
+        siblings = sum({1 << m for m in members})
+        for m in members:
+            add_zeros(m, siblings & ~(1 << m))
+    while pending:
+        v = pending.pop()
+        node = tfg.nodes[v]
+        if zeros[v] >> v & 1:                                   # A1
+            add_zeros(v, everything)
+        for group in tfg.head_groups_of.get(node, ()):          # A6
+            for member in group.members:
+                add_zeros(index[member], zeros[v])
+        for group in tfg.member_groups_of.get(node, ()):        # A5
+            common = everything
+            for member in group.members:
+                common &= zeros[index[member]]
+            add_zeros(index[group.head], common)
+    matrix.add_zeros(zeros)
+    return matrix, met
+
+
+def _closure_cases(safe_net_corpus, tfg_corpus):
+    """The blanked relations, then 500 random ones over random graphs."""
+    yield from _blanked_relations(safe_net_corpus, tfg_corpus)
+    rng = random.Random(31)
+    for tfg in tfg_corpus(75, 250):
+        for values in ((0, 1, UNDECIDED), (1, UNDECIDED, UNDECIDED)):
+            yield tfg, RootRelation(tfg, _random_root_cells(
+                rng, tfg.roots, values=values))
+
+
+def test_zero_closure_matches_pending_rows(safe_net_corpus, tfg_corpus):
+    cases = met = 0
+    for tfg, rel2 in _closure_cases(safe_net_corpus, tfg_corpus):
+        rows = matrix_partial(tfg, rel2)
+        reference, dropped = _reference_row_closure(tfg, rel2)
+        assert rows == reference
+        assert rows.write_count == reference.write_count
+        cases += 1
+        met += dropped > 0
+    assert cases >= 700 and met >= 50
+
+
+def test_zero_closure_ignores_group_order(safe_net_corpus, tfg_corpus):
+    rng = random.Random(37)
+    for tfg, rel2 in _closure_cases(safe_net_corpus, tfg_corpus):
+        # the rows the closure starts from: root 0s and propagated 1s
+        seeded = _reference_seed(tfg, rel2)
+        _reference_propagate_roots(tfg, rel2, seeded)
+        heads_first = _heads_first(tfg)
+        shuffled = list(tfg.groups)
+        rng.shuffle(shuffled)
+        expected = matrix_partial(tfg, rel2)
+        for order in (heads_first, heads_first[::-1], list(tfg.groups),
+                      shuffled):
+            matrix = seeded.copy()
+            matrix.add_zeros(_close_zeros(tfg, order, *seeded.full_rows()))
+            assert matrix == expected
+
+
+def test_heads_first_order(tfg_corpus):
+    for tfg in tfg_corpus(76, 200):
+        order = _heads_first(tfg)
+        assert sorted(map(tfg.groups.index, order)) == list(range(len(tfg.groups)))
+        rank = {group: k for k, group in enumerate(order)}
+        for group in order:
+            for member in group.members:
+                for below in tfg.head_groups_of.get(member, ()):
+                    assert rank[group] < rank[below]
+
+
 def _shuffled(matrix, rng):
     """`matrix`'s cells over a shuffled node order."""
     order = list(matrix.order)
@@ -481,6 +584,19 @@ def test_root_rows_cost_at_a_thousand_roots():
     assert time.perf_counter() - start < 3.0
     assert complete.complete and complete.value("d7", "p7") == 1
     assert partial.value("d7", "d7") == 1
+
+
+def test_partial_matrix_write_cost_at_two_thousand_roots():
+    # each row is written as whole-row text: a loop over its undecided
+    # cells takes several times this
+    tfg, _, half = _wide_inputs(2000, random.Random(41))
+    matrix = matrix_partial(tfg, RootRelation.from_reduced_matrix(tfg, half))
+    places = tuple(v for v in tfg.nodes if isinstance(v, str))
+    document = MatrixDocument(places, matrix.restrict(places))
+    start = time.perf_counter()
+    text = write_matrix(document)
+    assert time.perf_counter() - start < 0.5
+    assert text.count(".") > 1_000_000
 
 
 def _disjoint_union(docs, rng):

@@ -1,10 +1,11 @@
 """The bit-row matrix core against cell-by-cell references.
 
 Each row operation of `ConcurrencyMatrix` (`relate`, `full_rows`,
-`add_ones`, `add_zeros`, `restrict`, `copy`), the row mover `permute` and
-each row-wise reader (`compare_matrices`, `read_matrix`) is checked on
-seeded random cases against the cell loop it replaces; every write keeps
-the rows symmetric.
+`add_ones`, `add_zeros`, `restrict`, `copy`, `row_symbols`), the row movers
+`permute` and `transpose` and each row-wise reader and writer
+(`compare_matrices`, `read_matrix`, `write_matrix`) is checked on seeded
+random cases against the cell loop it replaces; every write keeps the rows
+symmetric.
 """
 
 import random
@@ -13,8 +14,8 @@ import pytest
 
 from coplaces.errors import BadSymbol
 from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
-                             compare_matrices, permute, read_matrix,
-                             write_matrix)
+                             _encode_row_rle, bits, compare_matrices, permute,
+                             read_matrix, transpose, write_matrix)
 
 
 def _order(n):
@@ -159,6 +160,50 @@ def test_permute_matches_bit_loop(seed):
                 assert permute(mask, source) == expected
     assert permute(0, []) == 0
     assert permute(0b101, [2, -1, 0, 1]) == 0b101
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_transpose_matches_bit_loop(seed):
+    rng = random.Random(seed)
+    # row counts up to three blocks of 512, widths across 64-bit words
+    for count, width in ((0, 0), (0, 5), (3, 0), (1, 1), (5, 9), (64, 64),
+                         (65, 63), (130, 129), (40, 200), (512, 3),
+                         (513, 65), (1100, 7)):
+        rows = [rng.choice((0, (1 << width) - 1, rng.getrandbits(width)))
+                for _ in range(count)]
+        columns = [sum((row >> k & 1) << j for j, row in enumerate(rows))
+                   for k in range(width)]
+        assert transpose(rows, width) == columns
+
+
+def _row_symbols_per_bit(matrix, i):
+    """The per-cell loop `row_symbols` used to be."""
+    ones, zeros = matrix.full_rows()
+    low = (2 << i) - 1
+    row = list(format(ones[i] & low, f"0{i + 1}b")[::-1])
+    for j in bits(~(ones[i] | zeros[i]) & low):
+        row[j] = "."
+    return "".join(row)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_row_symbols_and_writer_match_cell_loop(seed):
+    rng = random.Random(seed)
+    kinds = ((0, 1, UNDECIDED), (0, 1), (UNDECIDED,), (0,), (1,))
+    for n in (1, 2, 8, 63, 64, 65, 66, 127, 128, 129, 200):
+        # each triangle row draws its cells from one kind: mixed, decided,
+        # all undecided, all 0 or all 1
+        matrix = ConcurrencyMatrix(_order(n), fill=UNDECIDED)
+        for i in range(n):
+            values = rng.choice(kinds)
+            for j in range(i + 1):
+                matrix.set_at(i, j, rng.choice(values))
+        rows = [_row_symbols_per_bit(matrix, i) for i in range(n)]
+        assert [matrix.row_symbols(i) for i in range(n)] == rows
+        head = [str(n), *_order(n)]
+        for encoding, encode in (("plain", str), ("rle", _encode_row_rle)):
+            text = write_matrix(MatrixDocument(_order(n), matrix, encoding))
+            assert text == "\n".join(head + [encode(r) for r in rows]) + "\n"
 
 
 @pytest.mark.parametrize("seed", range(4))
