@@ -10,7 +10,7 @@ the ground truth everything is verified against.
 from .errors import CoplacesError
 from .formats import NetDocument, load_net, parse_net_text, parse_pnml, write_net_text
 from .kernel import (PropagationStats, RootRelation, matrix_complete,
-                     matrix_partial, propagate_node)
+                     matrix_partial)
 from .matrix import (UNDECIDED, ComparisonReport, ConcurrencyMatrix,
                      MatrixDocument, compare_matrices, filling_ratio,
                      read_matrix, write_matrix)
@@ -37,5 +37,4 @@ __all__ = [
     "ConcurrencyMatrix", "MatrixDocument", "ComparisonReport",
     "read_matrix", "write_matrix", "filling_ratio", "compare_matrices",
     "RootRelation", "PropagationStats", "matrix_complete", "matrix_partial",
-    "propagate_node",
 ]

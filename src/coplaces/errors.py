@@ -167,6 +167,11 @@ class WellFormednessError(AnalysisError):
 class UnknownNode(CoplacesError):
     """Node identifier not present in the token flow graph."""
 
+    def __init__(self, node):
+        super().__init__(f"{shown(node, noun='a name ')} is not a node of the"
+                         " graph")
+        self.node = node
+
 
 # -- Configuration operations ------------------------------------------------
 

@@ -7,6 +7,8 @@ transition: every live root floods its successor cone, each redundancy arc
 under a live node relates the cone accumulated so far with the arc's cone,
 and each node's row in the cone of a live root v takes the cones of the
 roots concurrent with v. Restricted to the initial places, it is exact.
+The cones are masks that `build_tfg` computes once per graph
+(`TokenFlowGraph.cones`), so flooding is an OR of the live roots' cones.
 
 The root relation comes from a matrix file or from exploring the residual
 net (`RootRelation.exact`). Exploration goes part by part: the connected
@@ -58,7 +60,7 @@ from .matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument, bits,
                      permute, transpose)
 from .ptnet import (DEFAULT_STATE_CAP, DEFAULT_TIME_BUDGET,
                     independent_parts, oracle_matrix)
-from .tfg import ConstantNode, Group, Node, TokenFlowGraph
+from .tfg import ConstantNode, Group, TokenFlowGraph
 
 
 @dataclass
@@ -89,15 +91,16 @@ class RootRelation:
         # a 1 anywhere in a row implies the diagonal; a 0 diagonal zeroes
         # the row; a decided-dead root with a 1 in its row is contradictory
         ones, zeros = self.cells.full_rows()
-        dead = 0
+        dead = live = 0
         for i, root in enumerate(self.tfg.roots):
             if zeros[i] >> i & 1:
                 if ones[i]:
                     raise InvalidRootRelation(f"root {shown(root)} is dead yet related")
                 dead |= 1 << i
             elif ones[i]:
-                self.cells.set_at(i, i, 1)
+                live |= 1 << i
         everything = (1 << len(ones)) - 1
+        self.cells.add_ones([live & 1 << i for i in range(len(ones))])
         self.cells.add_zeros([everything if dead >> i & 1 else dead
                               for i in range(len(ones))])
 
@@ -187,67 +190,42 @@ class RootRelation:
         return cls.from_reduced_matrix(tfg, matrix)
 
 
-def propagate_node(tfg: TokenFlowGraph, matrix: ConcurrencyMatrix, v: Node,
-                   memo: Optional[dict] = None,
-                   stats: Optional[PropagationStats] = None) -> int:
-    """Flood from the not-dead node `v`, returning its successor set as a mask.
-
-    `matrix` is over ``tfg.nodes``, so bit i of the mask stands for
-    ``tfg.nodes[i]``. Side effects on `matrix`: the diagonal of every
-    successor becomes 1, and for every redundancy arc below `v` the nodes
-    accumulated before the arc are related to the arc target's cone. With a
-    shared `memo`, a node body runs at most once across any number of calls;
-    repeated calls return the same mask and change no cell.
-    """
-    if memo is None:
-        memo = {}
-    if v in memo:
-        return memo[v]
-
-    # collect the unmemoized cone and process it children-first, which is
-    # exactly the recursive evaluation order without the recursion depth
-    region: list[Node] = []
-    seen: set[Node] = set()
-    stack = [v]
-    while stack:
-        node = stack.pop()
-        if node in seen or node in memo:
-            continue
-        seen.add(node)
-        region.append(node)
-        stack.extend(tfg.out_children(node))
-    region.sort(key=tfg.topo_index.__getitem__, reverse=True)
-
-    for node in region:
-        if stats is not None:
-            stats.body_runs += 1
-        matrix.set_value(node, node, 1)
-        succs = 1 << tfg.index[node]
-        for child in tfg.a_group_of.get(node, ()):
-            succs |= memo[child]
-        for target in tfg.r_targets_of.get(node, ()):
-            matrix.relate(succs, memo[target])
-            succs |= memo[target]
-        memo[node] = succs
-    return memo[v]
-
-
 def _propagate_roots(tfg: TokenFlowGraph, rel2: RootRelation,
                      matrix: ConcurrencyMatrix,
                      stats: Optional[PropagationStats] = None) -> None:
     """Flood every live root, then give each node x in the cone of a live
-    root v the union N_v of the cones of the roots concurrent with v."""
-    memo: dict[Node, int] = {}
+    root v the union N_v of the cones of the roots concurrent with v.
+
+    Flooding makes the diagonal of every node in a live root's cone 1 and,
+    for each redundancy arc out of such a node, relates the nodes
+    accumulated before the arc with the arc target's cone.
+    """
+    index, cones = tfg.index, tfg.cones
     related, _ = rel2.cells.full_rows()
-    cones = [propagate_node(tfg, matrix, root, memo, stats)
-             if related[v] >> v & 1 else 0 for v, root in enumerate(tfg.roots)]
+    root_cones = [cones[index[root]] for root in tfg.roots]
+    flooded = 0
+    for v, cone in enumerate(root_cones):
+        if related[v] >> v & 1:
+            flooded |= cone
+    if stats is not None:
+        stats.body_runs += flooded.bit_count()
     rows = [0] * len(tfg.nodes)
-    for v, cone in enumerate(cones):
+    for x in bits(flooded):
+        rows[x] = succs = 1 << x
+        node = tfg.nodes[x]
+        for child in tfg.a_group_of.get(node, ()):
+            succs |= cones[index[child]]
+        for target in tfg.r_targets_of.get(node, ()):
+            matrix.relate(succs, cones[index[target]])
+            succs |= cones[index[target]]
+    # a root related to v is live (`RootRelation` writes its diagonal)
+    for v, cone in enumerate(root_cones):
         near = 0
         for w in bits(related[v] & ~(1 << v)):
-            near |= cones[w]
-        for x in bits(cone):
-            rows[x] |= near
+            near |= root_cones[w]
+        if near:
+            for x in bits(cone):
+                rows[x] |= near
     matrix.add_ones(rows)
 
 
@@ -255,10 +233,11 @@ def matrix_complete(tfg: TokenFlowGraph, rel2: RootRelation,
                     stats: Optional[PropagationStats] = None) -> ConcurrencyMatrix:
     """Exact concurrency matrix over all graph nodes from a complete root relation.
 
-    Cells start at 0 and only 1s are ever written: first each live root is
-    flooded (`propagate_node`), then the cone of each live root is related
-    to the cones of the roots concurrent with it. Restricted to the places of the initial net the
-    result equals the true concurrency relation.
+    Cells start at 0 and only 1s are ever written: each live root floods
+    its cone (`TokenFlowGraph.cones`), and the cone of each live root is
+    related to the cones of the roots concurrent with it. Restricted to the
+    places of the initial net the result equals the true concurrency
+    relation.
     """
     if not rel2.complete:
         raise IncompleteRootRelation(

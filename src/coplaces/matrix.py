@@ -328,12 +328,14 @@ def read_matrix(text: str) -> MatrixDocument:
     if any(line.strip() for line in lines[1 + 2 * n:]):
         raise BadHeader("unexpected content after the last matrix row")
 
-    names = []
+    names: dict[str, None] = {}
     for k in range(n):
         name = lines[1 + k].strip()
         if not name:
             raise BadHeader(f"empty node name at line {2 + k}")
-        names.append(name)
+        if name in names:
+            raise BadHeader(f"duplicate node name {shown(name)} at line {2 + k}")
+        names[name] = None
 
     lines = lines[1 + n:1 + 2 * n]
     rle = any("(" in line for line in lines)

@@ -44,7 +44,7 @@ from .errors import (BadConstant, BadShareSum, DuplicateRemoval,
                      EquationSyntaxError, IllDefinedInput, NoTokenAt,
                      NotAgglomeration, NotAncestor, UndefinedAt, UnknownNode,
                      UnwritableName, WellFormednessError, shown)
-from .matrix import parse_count, writable_name
+from .matrix import bits, parse_count, writable_name
 
 
 @dataclass(frozen=True)
@@ -203,18 +203,17 @@ class Group:
 class TokenFlowGraph:
     """The reduction DAG between the places of N1 and of N2.
 
-    Built through `build_tfg`; immutable afterwards. Successor sets are
-    memoized on first use by `successors`.
+    Built through `build_tfg`; immutable afterwards. `cones[i]` is the
+    successor set of ``nodes[i]`` (itself included) as a mask over `nodes`.
     """
 
-    __slots__ = ("nodes", "index", "groups", "roots", "topo", "topo_index",
+    __slots__ = ("nodes", "index", "groups", "roots", "topo", "cones",
                  "warnings", "a_group_of", "r_targets_of", "member_groups_of",
-                 "head_groups_of", "_succ_cache")
+                 "head_groups_of")
 
     def __init__(self, **fields):
         for key, value in fields.items():
             object.__setattr__(self, key, value)
-        object.__setattr__(self, "_succ_cache", {})
 
     def __setattr__(self, key, value):
         raise AttributeError("token flow graphs are immutable")
@@ -231,25 +230,8 @@ class TokenFlowGraph:
 def successors(tfg: TokenFlowGraph, v: Node) -> frozenset[Node]:
     """Reflexive-transitive closure of v over both arc kinds."""
     if v not in tfg.index:
-        raise UnknownNode(f"{shown(v)} is not a node of the graph")
-    cache = tfg._succ_cache
-    # resolve bottom-up along an explicit stack; no recursion
-    stack = [v]
-    while stack:
-        node = stack[-1]
-        if node in cache:
-            stack.pop()
-            continue
-        pending = [w for w in tfg.out_children(node) if w not in cache]
-        if pending:
-            stack.extend(pending)
-            continue
-        closure = {node}
-        for w in tfg.out_children(node):
-            closure |= cache[w]
-        cache[node] = frozenset(closure)
-        stack.pop()
-    return cache[v]
+        raise UnknownNode(v)
+    return frozenset(tfg.nodes[i] for i in bits(tfg.cones[tfg.index[v]]))
 
 
 def build_tfg(system: EquationSystem, p1: Sequence[str],
@@ -351,6 +333,14 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
         stuck = [v for v in nodes if indeg[v] > 0]
         raise WellFormednessError("Cycle", stuck)
 
+    # each node's cone is itself and its children's cones, children first
+    cones = [0] * len(nodes)
+    for v in reversed(topo):
+        cone = 1 << index[v]
+        for w in out_children(v):
+            cone |= cones[index[w]]
+        cones[index[v]] = cone
+
     # a node is an arc target exactly when some group removes it
     roots = tuple(v for v in nodes if v not in removed_by)
 
@@ -362,7 +352,7 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
 
     return TokenFlowGraph(
         nodes=tuple(nodes), index=index, groups=tuple(groups), roots=roots,
-        topo=tuple(topo), topo_index={v: i for i, v in enumerate(topo)},
+        topo=tuple(topo), cones=tuple(cones),
         warnings=tuple(warnings),
         a_group_of=a_group_of,
         r_targets_of=r_targets_of,
@@ -505,13 +495,15 @@ def propagate_token(tfg: TokenFlowGraph, c: Configuration,
     """
     for node in (p, q):
         if node not in tfg.index:
-            raise UnknownNode(f"'{node}' is not a node of the graph")
+            raise UnknownNode(node)
     if not check_configuration(tfg, c):
         raise IllDefinedInput("input configuration is not well-defined")
     if c.value(p) is None:
         raise UndefinedAt(p)
-    if q not in successors(tfg, p):
-        raise NotAncestor(f"'{p}' does not reach '{q}'")
+    index, target = tfg.index, 1 << tfg.index[q]
+    if not tfg.cones[index[p]] & target:
+        raise NotAncestor(f"{shown(p, noun='a node ')} does not reach"
+                          f" {shown(q, noun='a node ')}")
     if p == q:
         return c
 
@@ -519,8 +511,7 @@ def propagate_token(tfg: TokenFlowGraph, c: Configuration,
     node = p
     while node != q:
         node = min((w for w in tfg.out_children(node)
-                    if q in successors(tfg, w)),
-                   key=tfg.index.__getitem__)
+                    if tfg.cones[index[w]] & target), key=index.__getitem__)
         path.append(node)
     route = {u: w for u, w in zip(path, path[1:])
              if w in tfg.a_group_of.get(u, ())}
@@ -536,7 +527,7 @@ def split_token(tfg: TokenFlowGraph, c: Configuration, p: Node,
     outside the successors of `p` is untouched.
     """
     if p not in tfg.index:
-        raise UnknownNode(f"'{p}' is not a node of the graph")
+        raise UnknownNode(p)
     members = tfg.a_group_of.get(p)
     if not members:
         raise NotAgglomeration(p)
@@ -552,20 +543,21 @@ def split_token(tfg: TokenFlowGraph, c: Configuration, p: Node,
         raise BadShareSum("negative share")
     if sum(shares) != value:
         raise BadShareSum(f"shares sum to {sum(shares)},"
-                          f" but '{p}' holds {value}")
+                          f" but {shown(p, noun='a node ')} holds {value}")
     return _rebalance(tfg, c, {}, dict(zip(members, shares)))
 
 
 def find_marked_root(tfg: TokenFlowGraph, c: Configuration, p: Node) -> Node:
     """Return the first root, in canonical order, that is marked and reaches `p`."""
     if p not in tfg.index:
-        raise UnknownNode(f"'{p}' is not a node of the graph")
+        raise UnknownNode(p)
     if not check_configuration(tfg, c):
         raise IllDefinedInput("input configuration is not well-defined")
     value = c.value(p)
     if value is None or value == 0:
         raise NoTokenAt(p)
+    target = 1 << tfg.index[p]
     for root in tfg.roots:
-        if (c.value(root) or 0) > 0 and p in successors(tfg, root):
+        if (c.value(root) or 0) > 0 and tfg.cones[tfg.index[root]] & target:
             return root
     raise AssertionError("well-defined marked node without a marked root")

@@ -317,6 +317,19 @@ def _wrong_places_files(tmp_path):
             "--rel2", str(tmp_path / "a.mat"))
 
 
+def _duplicate_name_files(tmp_path):
+    (tmp_path / "dup.mat").write_text(f"2\n{_LONG}\n{_LONG}\n1\n11\n")
+    return "compare", str(tmp_path / "dup.mat"), str(tmp_path / "dup.mat")
+
+
+def _duplicate_rel2_files(tmp_path):
+    _duplicate_name_files(tmp_path)
+    return ("matrix", str(_FIXTURES / "m1.net"),
+            "--equations", str(_FIXTURES / "m1.eq"),
+            "--reduced", str(_FIXTURES / "m2.net"),
+            "--rel2", str(tmp_path / "dup.mat"))
+
+
 def _cycle_files(tmp_path):
     nodes = [f"n{i}" for i in range(2000)]
     (tmp_path / "cycle.net").write_text("".join(f"pl {v}\n" for v in nodes))
@@ -346,8 +359,13 @@ def _cycle_files(tmp_path):
     (None, _wrong_places_files, 3, "relation covers the wrong places"
      " (missing {a2, p0, p6}, extra {n0, n1, n10, n100, n1000,"
      " and 1995 more})"),
+    (None, _duplicate_name_files, 2,
+     "duplicate node name of 5000 characters at line 3"),
+    (None, _duplicate_rel2_files, 2,
+     "duplicate node name of 5000 characters at line 3"),
 ], ids=["text-duplicate", "text-unknown", "pnml-marking", "pnml-duplicate",
-        "pnml-arc", "equation-cycle", "order-mismatch", "rel2-places"])
+        "pnml-arc", "equation-cycle", "order-mismatch", "rel2-places",
+        "matrix-duplicate", "rel2-duplicate"])
 def test_echoed_identifiers_are_bounded(tmp_path, capsys, name, text, code,
                                         message):
     if callable(text):
@@ -475,6 +493,13 @@ def test_module_entry_point(fixture_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("7\np0\n")
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from coplaces import *", namespace)
+    assert len(set(coplaces.__all__)) == len(coplaces.__all__)
+    assert all(name in namespace for name in coplaces.__all__)
 
 
 _FIXTURES = Path(__file__).parent / "fixtures"

@@ -10,7 +10,7 @@ import pytest
 from coplaces.errors import IncompleteRootRelation, InvalidRootRelation
 from coplaces.kernel import (PropagationStats, RootRelation, _close_zeros,
                              _heads_first, _propagate_roots, matrix_complete,
-                             matrix_partial, propagate_node)
+                             matrix_partial)
 from coplaces.tfg import ConstantNode
 from coplaces.formats import NetDocument, write_net_text
 from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
@@ -78,19 +78,25 @@ def test_propagate_node_trace(fig_tfg):
     def names(mask):
         return {fig_tfg.nodes[i] for i in bits(mask)}
 
-    C = ConcurrencyMatrix(fig_tfg.nodes, fill=0)
-    memo = {}
-    cone = propagate_node(fig_tfg, C, "a2", memo)
+    cone = fig_tfg.cones[fig_tfg.index["a2"]]
     assert names(cone) == {"a2", "p3", "p4", "p5", "a1", "p1", "p2"}
+    assert names(fig_tfg.cones[fig_tfg.index["p6"]]) == {"p6"}
+
+    # only a2 live: its cone floods, once per node
+    C = ConcurrencyMatrix(fig_tfg.nodes, fill=0)
+    stats = PropagationStats()
+    _propagate_roots(fig_tfg, _fig_rel2(fig_tfg, p6_undecided=True), C, stats)
+    assert stats.body_runs == 7
     assert C.value("p4", "p5") == 1
     assert C.value("p5", "p1") == 1
     assert C.value("p1", "p2") == 0        # siblings never cross
+    assert C.value("p6", "p6") == 0
 
-    assert names(propagate_node(fig_tfg, C, "p6", memo)) == {"p6"}
+    _propagate_roots(fig_tfg, _fig_rel2(fig_tfg), C)
     assert C.value("p6", "p6") == 1
 
     before = C.write_count
-    assert propagate_node(fig_tfg, C, "a2", memo) == cone
+    _propagate_roots(fig_tfg, _fig_rel2(fig_tfg), C)
     assert C.write_count == before          # idempotent, zero writes
 
 
@@ -162,11 +168,48 @@ def _reference_from_reduced_matrix(tfg, reduced):
     return RootRelation(tfg, cells)
 
 
+def _reference_propagate_node(tfg, matrix, v, memo, stats=None):
+    """The memoized flood from `v` that `_propagate_roots` replaced.
+
+    Returns the successor mask of `v`. The diagonal of every successor
+    becomes 1, and for every redundancy arc below `v` the nodes
+    accumulated before the arc are related to the arc target's cone. A
+    node body runs at most once across calls sharing `memo`.
+    """
+    if v in memo:
+        return memo[v]
+    # collect the unmemoized cone and process it children-first
+    region, seen, stack = [], set(), [v]
+    while stack:
+        node = stack.pop()
+        if node in seen or node in memo:
+            continue
+        seen.add(node)
+        region.append(node)
+        stack.extend(tfg.out_children(node))
+    rank = {node: k for k, node in enumerate(tfg.topo)}
+    region.sort(key=rank.__getitem__, reverse=True)
+
+    for node in region:
+        if stats is not None:
+            stats.body_runs += 1
+        matrix.set_value(node, node, 1)
+        succs = 1 << tfg.index[node]
+        for child in tfg.a_group_of.get(node, ()):
+            succs |= memo[child]
+        for target in tfg.r_targets_of.get(node, ()):
+            matrix.relate(succs, memo[target])
+            succs |= memo[target]
+        memo[node] = succs
+    return memo[v]
+
+
 def _reference_propagate_roots(tfg, rel2, matrix, stats=None):
-    """The root-pair loop `_propagate_roots` used to be."""
+    """The root-pair loop over memoized floods `_propagate_roots` used to be."""
     memo = {}
     live = [r for r in tfg.roots if rel2.cells.value(r, r) == 1]
-    cones = {r: propagate_node(tfg, matrix, r, memo, stats) for r in live}
+    cones = {r: _reference_propagate_node(tfg, matrix, r, memo, stats)
+             for r in live}
     for i, v in enumerate(live):
         for w in live[:i]:
             if rel2.cells.value(v, w) == 1:

@@ -8,6 +8,7 @@ from coplaces.errors import (BadConstant, DuplicateRemoval,
                              EquationSyntaxError, IllDefinedInput, NoTokenAt,
                              NotAgglomeration, NotAncestor, BadShareSum,
                              UndefinedAt, UnknownNode, WellFormednessError)
+from coplaces.matrix import bits
 from coplaces.ptnet import explore_reachable
 from coplaces.reductions import reduce_net
 from coplaces.tfg import (Configuration, ConstantNode, Equation,
@@ -137,6 +138,42 @@ def test_successors_monotone_along_arcs(fig_tfg):
         assert successors(fig_tfg, dst) <= successors(fig_tfg, src)
 
 
+def _reference_successors(tfg):
+    """The stack-resolved closure `successors` memoized before the cones."""
+    cache = {}
+    for v in tfg.nodes:
+        stack = [v]
+        while stack:
+            node = stack[-1]
+            if node in cache:
+                stack.pop()
+                continue
+            pending = [w for w in tfg.out_children(node) if w not in cache]
+            if pending:
+                stack.extend(pending)
+                continue
+            closure = {node}
+            for w in tfg.out_children(node):
+                closure |= cache[w]
+            cache[node] = frozenset(closure)
+            stack.pop()
+    return cache
+
+
+def test_cones_match_stack_closure(tfg_corpus, safe_net_corpus):
+    graphs = tfg_corpus(78, 300)
+    for doc in safe_net_corpus(2024, 500):
+        result = reduce_net(doc)
+        graphs.append(build_tfg(result.equations, doc.net.places,
+                                result.residual.net.places))
+    for tfg in graphs:
+        reference = _reference_successors(tfg)
+        assert len(tfg.cones) == len(tfg.nodes)
+        for v, cone in zip(tfg.nodes, tfg.cones):
+            assert {tfg.nodes[i] for i in bits(cone)} == reference[v]
+            assert successors(tfg, v) == reference[v]
+
+
 # -- configurations ----------------------------------------------------------
 
 def test_check_configuration_worked_example(fig_tfg):
@@ -210,6 +247,38 @@ def test_find_marked_root(fig_tfg):
     assert find_marked_root(fig_tfg, FIG_CONFIG, "p6") == "p6"
     with pytest.raises(NoTokenAt):
         find_marked_root(fig_tfg, FIG_CONFIG, "p0")
+
+
+def test_token_game_messages_are_bounded(fig_tfg):
+    long_a, long_b = "a" * 5000, "b" * 5000
+    unknown = "a name of 5000 characters is not a node of the graph"
+    for call in (lambda: successors(fig_tfg, long_a),
+                 lambda: propagate_token(fig_tfg, FIG_CONFIG, long_a, "p1"),
+                 lambda: propagate_token(fig_tfg, FIG_CONFIG, "a2", long_a),
+                 lambda: split_token(fig_tfg, FIG_CONFIG, long_a, [1]),
+                 lambda: find_marked_root(fig_tfg, FIG_CONFIG, long_a)):
+        with pytest.raises(UnknownNode) as err:
+            call()
+        assert str(err.value) == unknown
+
+    # b is an R copy of a, and the arc runs from a to b only
+    tfg = build_tfg(parse_equation_system(f"# R |- {long_b} = {long_a}\n"),
+                    (long_a, long_b), (long_a,))
+    config = Configuration({long_a: 1, long_b: 1})
+    with pytest.raises(NotAncestor) as err:
+        propagate_token(tfg, config, long_b, long_a)
+    assert str(err.value) == ("a node of 5000 characters does not reach"
+                              " a node of 5000 characters")
+    assert propagate_token(tfg, config, long_a, long_b).value(long_b) == 1
+    assert find_marked_root(tfg, config, long_b) == long_a
+
+    agglomerated = build_tfg(parse_equation_system(
+        f"# A |- {long_a} = p + q\n"), ("p", "q"), (long_a,))
+    with pytest.raises(BadShareSum) as err:
+        split_token(agglomerated, Configuration({long_a: 1, "p": 1, "q": 0}),
+                    long_a, [1, 1])
+    assert str(err.value) == ("shares sum to 2, but a node of 5000 characters"
+                              " holds 1")
 
 
 # -- reachability round trip through the equations ---------------------------
