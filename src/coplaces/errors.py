@@ -153,7 +153,7 @@ class DuplicateRemoval(AnalysisError):
 
 
 class WellFormednessError(AnalysisError):
-    """A token flow graph violates one of T1, T2, T3, T4 or acyclicity."""
+    """A token flow graph violates T1, T2, T4 or acyclicity (T3: `DuplicateRemoval`)."""
 
     def __init__(self, condition: str, nodes, detail: str = ""):
         nodes = tuple(nodes)

@@ -68,8 +68,10 @@ def write_net_text(doc: NetDocument) -> str:
         n = doc.initial[p]
         lines.append(f"pl {p} {n}" if n else f"pl {p}")
     for t in net.transitions:
-        ins = [_term(p, net.pre[t][p]) for p in net.places if p in net.pre[t]]
-        outs = [_term(p, net.post[t][p]) for p in net.places if p in net.post[t]]
+        # each side lists its places in place order
+        pre, post = net.pre[t], net.post[t]
+        ins = [_term(p, pre[p]) for p in sorted(pre, key=net.place_index)]
+        outs = [_term(p, post[p]) for p in sorted(post, key=net.place_index)]
         lines.append(" ".join(["tr", t, ":"] + ins + ["->"] + outs))
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -174,12 +176,13 @@ def parse_pnml(data) -> NetDocument:
     except ET.ParseError as exc:
         raise MalformedNet(f"XML parse error: {exc}") from None
 
-    if _local(root.tag) == "pnml":
+    kind = _local(root.tag)
+    if kind == "pnml":
         nets = [child for child in root if _local(child.tag) == "net"]
-    elif _local(root.tag) == "net":
+    elif kind == "net":
         nets = [root]
     else:
-        tag = shown(_local(root.tag), quote="", noun="a tag ")
+        tag = shown(kind, quote="", noun="a tag ")
         raise MalformedNet(f"expected a <pnml> or <net> root, found <{tag}>")
     if not nets:
         raise MalformedNet("no <net> element")
@@ -191,15 +194,18 @@ def parse_pnml(data) -> NetDocument:
     if any(marker in net_type.lower() for marker in ("symmetric", "highlevel")):
         raise UnsupportedNet(f"net type {shown(net_type)}")
 
-    pages = [child for child in net_elem if _local(child.tag) == "page"]
+    # each element's tag is read once: the net's children, then its page's
+    elements = [(_local(child.tag), child) for child in net_elem]
+    pages = [elem for kind, elem in elements if kind == "page"]
     if len(pages) > 1:
         extra = pages[1].get("id", "<anonymous>")
         raise UnsupportedNet(f"multiple pages, e.g. page {shown(extra)}")
     for page in pages:
-        if any(_local(child.tag) == "page" for child in page):
+        on_page = [(_local(child.tag), child) for child in page]
+        if any(kind == "page" for kind, _ in on_page):
             raise UnsupportedNet("nested page under"
                                  f" {shown(page.get('id'), noun='a page ')}")
-    containers = [net_elem] + pages
+        elements += on_page
 
     places: list[str] = []
     marking: dict[str, int] = {}
@@ -207,65 +213,61 @@ def parse_pnml(data) -> NetDocument:
     arcs: list[tuple[str, str, str, int]] = []
     ids: set[str] = set()
 
-    def require_id(elem: ET.Element) -> str:
+    def require_id(elem: ET.Element, kind: str) -> str:
         ident = elem.get("id")
         if not ident:
-            raise MalformedNet(f"<{_local(elem.tag)}> element without an id")
+            raise MalformedNet(f"<{kind}> element without an id")
         if ident in ids:
             raise MalformedNet(f"duplicate id {shown(ident)}")
         ids.add(ident)
         return ident
 
-    def int_annotation(elem: ET.Element, what: str, default: int,
-                       minimum: int) -> int:
-        node = next((c for c in elem if _local(c.tag) == what), None)
+    def read_children(elem: ET.Element, kind: str, ident: str,
+                      what: str | None = None, default: int = 0,
+                      minimum: int = 0) -> int:
+        """Refuse colour markers and a non-normal arc type among the
+        children of `elem`, then read its first `what` count annotation."""
+        node = None
+        for child in elem:
+            tag = _local(child.tag)
+            if tag == what and node is None:
+                node = child
+            elif tag == "type" and kind == "arc":
+                value = _text_of(child) or child.get("value", "")
+                if value and value != "normal":
+                    raise UnsupportedNet(f"arc {shown(ident)}"
+                                         f" of type {shown(value)}")
+            elif tag in _COLORED_MARKERS:
+                raise UnsupportedNet(f"<{tag}> on {kind} {shown(ident)}")
         if node is None:
             return default
         text = _text_of(node)
         value = parse_count(text)
         if value is None:
             raise MalformedNet(f"non-integer {what} {shown(text)}"
-                               f" on {shown(elem.get('id'), noun='an id ')}")
+                               f" on {shown(ident, noun='an id ')}")
         if value < minimum:
             raise MalformedNet(f"{what} {value} below {minimum}"
-                               f" on {shown(elem.get('id'), noun='an id ')}")
+                               f" on {shown(ident, noun='an id ')}")
         return value
 
-    for container in containers:
-        for elem in container:
-            kind = _local(elem.tag)
-            if kind == "place":
-                ident = require_id(elem)
-                for child in elem:
-                    if _local(child.tag) in _COLORED_MARKERS:
-                        raise UnsupportedNet(f"<{_local(child.tag)}>"
-                                             f" on place {shown(ident)}")
-                places.append(ident)
-                marking[ident] = int_annotation(elem, "initialMarking", 0, 0)
-            elif kind == "transition":
-                ident = require_id(elem)
-                for child in elem:
-                    if _local(child.tag) in _COLORED_MARKERS:
-                        raise UnsupportedNet(f"<{_local(child.tag)}>"
-                                             f" on transition {shown(ident)}")
-                transitions.append(ident)
-            elif kind == "arc":
-                ident = elem.get("id", f"{elem.get('source')}->{elem.get('target')}")
-                source, target = elem.get("source"), elem.get("target")
-                if not source or not target:
-                    raise MalformedNet(f"arc {shown(ident)} lacks source or target")
-                for child in elem:
-                    local = _local(child.tag)
-                    if local == "type":
-                        value = _text_of(child) or child.get("value", "")
-                        if value and value != "normal":
-                            raise UnsupportedNet(f"arc {shown(ident)}"
-                                                 f" of type {shown(value)}")
-                    elif local in _COLORED_MARKERS:
-                        raise UnsupportedNet(f"<{local}> on arc {shown(ident)}")
-                weight = int_annotation(elem, "inscription", 1, 1)
-                arcs.append((ident, source, target, weight))
-            # name/graphics/toolspecific and the like carry no semantics
+    for kind, elem in elements:
+        if kind == "place":
+            ident = require_id(elem, kind)
+            marking[ident] = read_children(elem, kind, ident, "initialMarking")
+            places.append(ident)
+        elif kind == "transition":
+            ident = require_id(elem, kind)
+            read_children(elem, kind, ident)
+            transitions.append(ident)
+        elif kind == "arc":
+            ident = elem.get("id", f"{elem.get('source')}->{elem.get('target')}")
+            source, target = elem.get("source"), elem.get("target")
+            if not source or not target:
+                raise MalformedNet(f"arc {shown(ident)} lacks source or target")
+            weight = read_children(elem, kind, ident, "inscription", 1, 1)
+            arcs.append((ident, source, target, weight))
+        # name/graphics/toolspecific and the like carry no semantics
 
     place_set = set(places)
     transition_set = set(transitions)

@@ -37,9 +37,14 @@ nodes it is decided nonconcurrent with; A4 seeds it. A round repeats
 passes until no row grows, each pass running A6 over the groups heads
 first, A5 members first and A1 on the dead rows, then one transpose
 mirrors the round's new 0s into the columns; rounds stop when a pass over
-freshly mirrored rows adds nothing. Axioms only turn undecided cells into
-0 and the rule set is closed under transposition, so the result is the
-least symmetric fixpoint, whatever the order of groups and passes.
+freshly mirrored rows adds nothing. Heads first is a sort on `tfg.topo`:
+R groups by falling rank of their head, then A groups by rising rank. An
+R group's members rank below its head and an A group's above, so a group
+headed by a member comes later within each half, and no A group has a
+member heading an R group, which T3 forbids. Axioms only turn undecided
+cells into 0 and the rule set is closed under transposition, so the
+result is the least symmetric fixpoint, whatever the order of groups and
+passes.
 A2 and A3 need no code: a node with a 1 in its row has a 1 on its diagonal
 (propagation writes the diagonal of every node it relates, and
 `RootRelation` rejects a dead root that is related), so A1 makes a dead
@@ -250,24 +255,18 @@ def matrix_complete(tfg: TokenFlowGraph, rel2: RootRelation,
 def _heads_first(tfg: TokenFlowGraph) -> list[Group]:
     """The groups, each before every group headed by one of its members.
 
-    Kahn's algorithm over the head-to-member arcs. They form no cycle: a
-    cycle of A groups or of R groups is a cycle of the graph, and a mixed
-    cycle steps from an A group to an R group through a node that both
-    remove (T3).
+    The R groups come first, by falling rank of their head in `tfg.topo`,
+    then the A groups by rising rank. An R group's members rank below its
+    head (arcs run member to head) and an A group's above (arcs run head
+    to member), so within each half a group headed by a member comes
+    later. Across the halves, every A group comes after every R group, and
+    no A group has a member heading an R group: that node would be
+    removed twice (T3).
     """
-    waiting = {group: len(tfg.member_groups_of.get(group.head, ()))
-               for group in tfg.groups}
-    ready = [group for group, count in waiting.items() if not count]
-    order = []
-    while ready:
-        group = ready.pop()
-        order.append(group)
-        for member in group.members:
-            for below in tfg.head_groups_of.get(member, ()):
-                waiting[below] -= 1
-                if not waiting[below]:
-                    ready.append(below)
-    return order
+    rank = dict(zip(tfg.topo, range(len(tfg.topo))))
+    return sorted(tfg.groups, key=lambda group: (
+        group.tag == "A", rank[group.head] if group.tag == "A"
+        else -rank[group.head]))
 
 
 def _close_zeros(tfg: TokenFlowGraph, groups: list[Group],

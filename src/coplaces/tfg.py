@@ -208,8 +208,7 @@ class TokenFlowGraph:
     """
 
     __slots__ = ("nodes", "index", "groups", "roots", "topo", "cones",
-                 "warnings", "a_group_of", "r_targets_of", "member_groups_of",
-                 "head_groups_of")
+                 "warnings", "a_group_of", "r_targets_of", "head_groups_of")
 
     def __init__(self, **fields):
         for key, value in fields.items():
@@ -251,7 +250,7 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
 
     groups: list[Group] = []
     a_heads: set[str] = set()
-    removed_by: dict[Node, int] = {}
+    removed: set[Node] = set()          # T3 holds: `EquationSystem` checks it
     for i, eq in enumerate(system):
         head: Node = ConstantNode(eq.defined, i) if isinstance(eq.defined, int) \
             else eq.defined
@@ -274,9 +273,7 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
             if isinstance(target, ConstantNode):
                 raise WellFormednessError("T2", [target],
                                           "a constant node is an arc target")
-            if target in removed_by:
-                raise WellFormednessError("T3", [target])
-            removed_by[target] = i
+            removed.add(target)
         groups.append(Group(eq.tag, head, members))
 
     # T1: every variable outside P1 and P2 must be agglomeration-inserted
@@ -297,12 +294,9 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
 
     a_group_of: dict[Node, tuple[Node, ...]] = {}
     r_targets_of: dict[Node, list[Node]] = {}
-    member_groups_of: dict[Node, list[Group]] = {}
     head_groups_of: dict[Node, list[Group]] = {}
     for group in groups:
         head_groups_of.setdefault(group.head, []).append(group)
-        for member in group.members:
-            member_groups_of.setdefault(member, []).append(group)
         if group.tag == "A":
             a_group_of[group.head] = group.members
         else:
@@ -342,7 +336,7 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
         cones[index[v]] = cone
 
     # a node is an arc target exactly when some group removes it
-    roots = tuple(v for v in nodes if v not in removed_by)
+    roots = tuple(v for v in nodes if v not in removed)
 
     warnings = []
     for v in nodes:
@@ -356,7 +350,6 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
         warnings=tuple(warnings),
         a_group_of=a_group_of,
         r_targets_of=r_targets_of,
-        member_groups_of={v: tuple(gs) for v, gs in member_groups_of.items()},
         head_groups_of={v: tuple(gs) for v, gs in head_groups_of.items()},
     )
 

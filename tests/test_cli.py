@@ -236,6 +236,17 @@ def test_pnml_counts_are_ascii_digits(tmp_path, capsys, marking, weight):
     assert "non-integer" in err
 
 
+@pytest.mark.parametrize("weight", ["x", "0"])
+def test_pnml_arc_without_id_is_named_by_its_ends(tmp_path, capsys, weight):
+    net = tmp_path / "bad.pnml"
+    net.write_text(_PNML.replace(' id="x"', "").format(
+        marking="", weight=f"<inscription><text>{weight}</text></inscription>"),
+        encoding="utf-8")
+    code, _, err = run(capsys, "oracle", str(net))
+    assert code == 2
+    assert "'a->t'" in err and "None" not in err
+
+
 def test_long_constant_message_is_bounded(tmp_path, capsys, fixture_path):
     bad = tmp_path / "bad.eq"
     for constant, message in (("7", "constant 7 not allowed, only 0 and 1 are"),
@@ -405,6 +416,26 @@ def test_reduce_timeout_exits_5_and_writes_nothing(tmp_path, capsys):
     assert time.perf_counter() - start < 3.0
     assert code == 5 and "time budget" in err and stdout == ""
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_reduce_writes_a_wide_irreducible_net_quickly(tmp_path, capsys):
+    # 2,000 choice components a -> b | c: no rule applies, so writing the
+    # 6,000-place residual back is most of the work
+    lines = []
+    for k in range(2000):
+        lines += [f"pl a{k} 1", f"pl b{k}", f"pl c{k}"]
+    for k in range(2000):
+        lines += [f"tr ab{k} : a{k} -> b{k}", f"tr ac{k} : a{k} -> c{k}",
+                  f"tr ba{k} : b{k} -> a{k}", f"tr ca{k} : c{k} -> a{k}"]
+    net = tmp_path / "wide.net"
+    net.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code, stdout, _ = run(capsys, "reduce", str(net), "-o", str(out),
+                          "--timeout", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, stdout) == (0, "reduction ratio: 0/1\n")
+    assert (out / "wide.reduced.net").read_text() == net.read_text()
 
 
 def _choice_components(count):

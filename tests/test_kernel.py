@@ -7,6 +7,7 @@ from collections import deque
 
 import pytest
 
+from coplaces import kernel
 from coplaces.errors import IncompleteRootRelation, InvalidRootRelation
 from coplaces.kernel import (PropagationStats, RootRelation, _close_zeros,
                              _heads_first, _propagate_roots, matrix_complete,
@@ -14,7 +15,8 @@ from coplaces.kernel import (PropagationStats, RootRelation, _close_zeros,
 from coplaces.tfg import ConstantNode
 from coplaces.formats import NetDocument, write_net_text
 from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
-                             bits, permute, read_matrix, write_matrix)
+                             bits, permute, read_matrix, transpose,
+                             write_matrix)
 from coplaces.ptnet import PetriNet, independent_parts, oracle_matrix
 from coplaces.reductions import reduce_net
 from coplaces.tfg import (build_tfg, parse_equation_system, successors,
@@ -228,6 +230,15 @@ def _reference_seed(tfg, rel2):
     return matrix
 
 
+def _member_groups(tfg):
+    """The groups each node is a member of, in equation order."""
+    groups = {}
+    for group in tfg.groups:
+        for member in group.members:
+            groups.setdefault(member, []).append(group)
+    return groups
+
+
 def _reference_partial(tfg, rel2, rng=None):
     """The cell-worklist zero closure that `matrix_partial` replaced.
 
@@ -236,6 +247,7 @@ def _reference_partial(tfg, rel2, rng=None):
     """
     matrix = _reference_seed(tfg, rel2)
     roots = tfg.roots
+    member_groups = _member_groups(tfg)
     _reference_propagate_roots(tfg, rel2, matrix)
 
     queue = deque()
@@ -272,7 +284,7 @@ def _reference_partial(tfg, rel2, rng=None):
             for group in tfg.head_groups_of.get(a, ()):         # A3
                 for member in group.members:
                     set_zero(member, member)
-            for group in tfg.member_groups_of.get(a, ()):       # A2
+            for group in member_groups.get(a, ()):              # A2
                 if all(matrix.value(m, m) == 0 for m in group.members):
                     set_zero(group.head, group.head)
         else:
@@ -280,7 +292,7 @@ def _reference_partial(tfg, rel2, rng=None):
                 for group in tfg.head_groups_of.get(u, ()):     # A6
                     for member in group.members:
                         set_zero(member, w)
-                for group in tfg.member_groups_of.get(u, ()):   # A5
+                for group in member_groups.get(u, ()):          # A5
                     if all(matrix.value(m, w) == 0 for m in group.members):
                         set_zero(group.head, w)
     return matrix
@@ -383,6 +395,7 @@ def _reference_row_closure(tfg, rel2):
     ones, zeros = matrix.full_rows()
     pending = {v for v, row in enumerate(zeros) if row}
     index, everything = tfg.index, (1 << len(tfg.nodes)) - 1
+    member_groups = _member_groups(tfg)
     met = 0
 
     def add_zeros(v, mask):
@@ -409,7 +422,7 @@ def _reference_row_closure(tfg, rel2):
         for group in tfg.head_groups_of.get(node, ()):          # A6
             for member in group.members:
                 add_zeros(index[member], zeros[v])
-        for group in tfg.member_groups_of.get(node, ()):        # A5
+        for group in member_groups.get(node, ()):               # A5
             common = everything
             for member in group.members:
                 common &= zeros[index[member]]
@@ -455,6 +468,49 @@ def test_zero_closure_ignores_group_order(safe_net_corpus, tfg_corpus):
             matrix = seeded.copy()
             matrix.add_zeros(_close_zeros(tfg, order, *seeded.full_rows()))
             assert matrix == expected
+
+
+def _reference_heads_first(tfg):
+    """The Kahn walk over head-to-member arcs that `_heads_first` replaced."""
+    member_groups = _member_groups(tfg)
+    waiting = {group: len(member_groups.get(group.head, ()))
+               for group in tfg.groups}
+    ready = [group for group, count in waiting.items() if not count]
+    order = []
+    while ready:
+        group = ready.pop()
+        order.append(group)
+        for member in group.members:
+            for below in tfg.head_groups_of.get(member, ()):
+                waiting[below] -= 1
+                if not waiting[below]:
+                    ready.append(below)
+    return order
+
+
+def test_heads_first_sort_needs_no_more_rounds_than_kahn(
+        monkeypatch, safe_net_corpus, tfg_corpus):
+    calls = [0]
+
+    def counted(rows, width):
+        calls[0] += 1
+        return transpose(rows, width)
+
+    monkeypatch.setattr(kernel, "transpose", counted)
+    cases = 0
+    for tfg, rel2 in _closure_cases(safe_net_corpus, tfg_corpus):
+        seeded = _reference_seed(tfg, rel2)
+        _reference_propagate_roots(tfg, rel2, seeded)
+        results = []
+        for order in (_heads_first(tfg), _reference_heads_first(tfg)):
+            calls[0] = 0
+            results.append((_close_zeros(tfg, order, *seeded.full_rows()),
+                            calls[0]))
+        (sorted_rows, sorted_rounds), (kahn_rows, kahn_rounds) = results
+        assert sorted_rows == kahn_rows
+        assert sorted_rounds <= kahn_rounds
+        cases += 1
+    assert cases >= 700
 
 
 def test_heads_first_order(tfg_corpus):
