@@ -76,8 +76,30 @@ def write_net_text(doc: NetDocument) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
+def _column(line: str, k: int) -> int:
+    """The 1-based column of the `k`-th token of `line`, for a message."""
+    return list(_TOKEN.finditer(line))[k].start() + 1
+
+
+def _read_arcs(flow: dict[str, int], tokens: list[str], start: int, stop: int,
+               line: str, lineno: int, places: dict[str, int]) -> None:
+    """Add the arc terms `tokens[start:stop]` of line `lineno` to `flow`."""
+    for k in range(start, stop):
+        name, star, weight_text = tokens[k].partition("*")
+        weight = parse_count(weight_text) if star else 1
+        if not weight:
+            raise NetSyntaxError(lineno, _column(line, k), "positive arc weight")
+        if name not in places:
+            raise UnknownPlace(name, lineno)
+        flow[name] = flow.get(name, 0) + weight
+
+
 def parse_net_text(text: str) -> NetDocument:
-    """Parse the textual net format into a document."""
+    """Parse the textual net format into a document.
+
+    Each line is split once; token columns are computed only for an error
+    message (`str.split` and the `\\S+` pattern agree on whitespace).
+    """
     places: list[str] = []
     marking: dict[str, int] = {}
     transitions: list[str] = []
@@ -85,62 +107,54 @@ def parse_net_text(text: str) -> NetDocument:
     post: dict[str, dict[str, int]] = {}
     known: set[str] = set()
 
-    def parse_arc_term(token: str, col: int, lineno: int, flow: dict[str, int]):
-        name, star, weight_text = token.partition("*")
-        weight = parse_count(weight_text) if star else 1
-        if not weight:
-            raise NetSyntaxError(lineno, col, "positive arc weight")
-        if name not in marking:
-            raise UnknownPlace(name, lineno)
-        flow[name] = flow.get(name, 0) + weight
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+        tokens = line.split()
         if not tokens:
             continue
-        keyword, col = tokens[0]
+        keyword = tokens[0]
         if keyword == "pl":
             if len(tokens) < 2:
-                raise NetSyntaxError(lineno, col + len(keyword), "place identifier")
-            name = tokens[1][0]
+                raise NetSyntaxError(lineno, _column(line, 0) + len(keyword),
+                                     "place identifier")
+            name = tokens[1]
             if name in known:
                 raise DuplicateId(name, lineno)
             if len(tokens) > 3:
-                raise NetSyntaxError(lineno, tokens[3][1], "end of line")
+                raise NetSyntaxError(lineno, _column(line, 3), "end of line")
             initial = 0
             if len(tokens) == 3:
-                value, vcol = tokens[2]
-                initial = parse_count(value)
+                initial = parse_count(tokens[2])
                 if initial is None:
-                    raise NetSyntaxError(lineno, vcol, "initial marking (integer)")
+                    raise NetSyntaxError(lineno, _column(line, 2),
+                                         "initial marking (integer)")
             known.add(name)
             places.append(name)
             marking[name] = initial
         elif keyword == "tr":
             if len(tokens) < 2:
-                raise NetSyntaxError(lineno, col + len(keyword),
+                raise NetSyntaxError(lineno, _column(line, 0) + len(keyword),
                                      "transition identifier")
-            name = tokens[1][0]
+            name = tokens[1]
             if name in known:
                 raise DuplicateId(name, lineno)
-            if len(tokens) < 3 or tokens[2][0] != ":":
-                bad = tokens[2][1] if len(tokens) > 2 else tokens[1][1] + len(name)
+            if len(tokens) < 3 or tokens[2] != ":":
+                bad = (_column(line, 2) if len(tokens) > 2
+                       else _column(line, 1) + len(name))
                 raise NetSyntaxError(lineno, bad, "':'")
-            arrows = [k for k, (tok, _) in enumerate(tokens) if tok == "->"]
-            if len(arrows) != 1:
-                where = tokens[-1][1] + len(tokens[-1][0])
+            if tokens.count("->") != 1:
+                where = _column(line, len(tokens) - 1) + len(tokens[-1])
                 raise NetSyntaxError(lineno, where, "exactly one '->'")
+            arrow = tokens.index("->")
             known.add(name)
             transitions.append(name)
             pre[name] = {}
             post[name] = {}
-            for tok, tcol in tokens[3:arrows[0]]:
-                parse_arc_term(tok, tcol, lineno, pre[name])
-            for tok, tcol in tokens[arrows[0] + 1:]:
-                parse_arc_term(tok, tcol, lineno, post[name])
+            _read_arcs(pre[name], tokens, 3, arrow, line, lineno, marking)
+            _read_arcs(post[name], tokens, arrow + 1, len(tokens), line,
+                       lineno, marking)
         else:
-            raise NetSyntaxError(lineno, col, "'pl' or 'tr'")
+            raise NetSyntaxError(lineno, _column(line, 0), "'pl' or 'tr'")
 
     net = PetriNet(places, transitions, pre, post)
     return NetDocument(net, net.make_marking(marking))
@@ -213,10 +227,15 @@ def parse_pnml(data) -> NetDocument:
     arcs: list[tuple[str, str, str, int]] = []
     ids: set[str] = set()
 
-    def require_id(elem: ET.Element, kind: str) -> str:
+    def require_id(elem: ET.Element, kind: str,
+                   fallback: str | None = None) -> str:
+        """The unique id of `elem`; an element without one is refused,
+        unless it has a `fallback` name, which is not an id."""
         ident = elem.get("id")
         if not ident:
-            raise MalformedNet(f"<{kind}> element without an id")
+            if fallback is None:
+                raise MalformedNet(f"<{kind}> element without an id")
+            return fallback
         if ident in ids:
             raise MalformedNet(f"duplicate id {shown(ident)}")
         ids.add(ident)
@@ -261,8 +280,9 @@ def parse_pnml(data) -> NetDocument:
             read_children(elem, kind, ident)
             transitions.append(ident)
         elif kind == "arc":
-            ident = elem.get("id", f"{elem.get('source')}->{elem.get('target')}")
+            # an arc without an id, or with an empty one, is named by its ends
             source, target = elem.get("source"), elem.get("target")
+            ident = require_id(elem, kind, f"{source}->{target}")
             if not source or not target:
                 raise MalformedNet(f"arc {shown(ident)} lacks source or target")
             weight = read_children(elem, kind, ident, "inscription", 1, 1)

@@ -247,6 +247,31 @@ def test_pnml_arc_without_id_is_named_by_its_ends(tmp_path, capsys, weight):
     assert "'a->t'" in err and "None" not in err
 
 
+@pytest.mark.parametrize("weight", ["x", "0"])
+def test_pnml_arc_with_an_empty_id_is_named_by_its_ends(tmp_path, capsys,
+                                                        weight):
+    net = tmp_path / "bad.pnml"
+    net.write_text(_PNML.replace(' id="x"', ' id=""').format(
+        marking="", weight=f"<inscription><text>{weight}</text></inscription>"),
+        encoding="utf-8")
+    code, _, err = run(capsys, "oracle", str(net))
+    assert code == 2
+    assert "'a->t'" in err and "''" not in err
+
+
+@pytest.mark.parametrize("arc_id", ["a", "t", "y"])
+def test_pnml_arc_id_repeating_another_id_is_refused(tmp_path, capsys, arc_id):
+    # the place a, the transition t, or the id of the arc t -> a that follows
+    net = tmp_path / "bad.pnml"
+    net.write_text(_PNML.replace(' id="x"', f' id="{arc_id}"').format(
+        marking="", weight="").replace(
+        "</net>", '<arc id="y" source="t" target="a"/></net>'),
+        encoding="utf-8")
+    code, stdout, err = run(capsys, "oracle", str(net))
+    assert code == 2 and stdout == ""
+    assert f"duplicate id '{arc_id}'" in err
+
+
 def test_long_constant_message_is_bounded(tmp_path, capsys, fixture_path):
     bad = tmp_path / "bad.eq"
     for constant, message in (("7", "constant 7 not allowed, only 0 and 1 are"),
@@ -402,9 +427,9 @@ def test_timeout_without_output(tmp_path, capsys, fixture_path):
 
 
 def test_reduce_timeout_exits_5_and_writes_nothing(tmp_path, capsys):
-    # a closed chain of 3,000 places needs 2,999 reducer passes, seconds
-    # of work; the deadline is checked before each pass
-    n = 3000
+    # a closed chain of 30,000 places needs 29,999 chain firings, about a
+    # second of reducer work; the deadline is checked before each firing
+    n = 30000
     net = tmp_path / "ring.net"
     net.write_text("".join(f"pl p{i}{' 1' * (i == 0)}\n" for i in range(n))
                    + "".join(f"tr t{i} : p{i} -> p{(i + 1) % n}\n"

@@ -1,5 +1,6 @@
 """Net parsing and serialization for both formats."""
 
+import re
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -505,7 +506,12 @@ def test_parse_pnml_matches_the_reference(monkeypatch):
     targeted = _targeted_pnml()
     raised = renamed = 0
     for data in benchmark + targeted:
-        expected = _outcome(_reference_parse_pnml, data)
+        # the intended changes: an arc with an empty id is named like one
+        # without an id, and an arc id may not repeat another id
+        expected = _outcome(_reference_parse_pnml,
+                            data.replace("<arc id=''", "<arc"))
+        if "<arc id='p'" in data:
+            expected = (MalformedNet, "duplicate id 'p'")
         got = _outcome(parse_pnml, data)
         if isinstance(expected, tuple):
             raised += 1
@@ -534,3 +540,116 @@ def test_parse_pnml_reads_each_tag_once(monkeypatch):
         calls[0] = 0
         parse_pnml(data)
         assert 0 < calls[0] <= sum(1 for _ in ET.fromstring(data).iter())
+
+
+# -- differential reference: the text reader with token columns --------------
+
+_TOKEN = re.compile(r"\S+")
+
+
+def _reference_parse_net_text(text):
+    """`parse_net_text` before it split each line once: every token is
+    found by a regex scan that also records its column."""
+    places, marking, transitions, pre, post, known = [], {}, [], {}, {}, set()
+
+    def parse_arc_term(token, col, lineno, flow):
+        name, star, weight_text = token.partition("*")
+        weight = parse_count(weight_text) if star else 1
+        if not weight:
+            raise NetSyntaxError(lineno, col, "positive arc weight")
+        if name not in marking:
+            raise UnknownPlace(name, lineno)
+        flow[name] = flow.get(name, 0) + weight
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+        if not tokens:
+            continue
+        keyword, col = tokens[0]
+        if keyword == "pl":
+            if len(tokens) < 2:
+                raise NetSyntaxError(lineno, col + len(keyword), "place identifier")
+            name = tokens[1][0]
+            if name in known:
+                raise DuplicateId(name, lineno)
+            if len(tokens) > 3:
+                raise NetSyntaxError(lineno, tokens[3][1], "end of line")
+            initial = 0
+            if len(tokens) == 3:
+                value, vcol = tokens[2]
+                initial = parse_count(value)
+                if initial is None:
+                    raise NetSyntaxError(lineno, vcol, "initial marking (integer)")
+            known.add(name)
+            places.append(name)
+            marking[name] = initial
+        elif keyword == "tr":
+            if len(tokens) < 2:
+                raise NetSyntaxError(lineno, col + len(keyword),
+                                     "transition identifier")
+            name = tokens[1][0]
+            if name in known:
+                raise DuplicateId(name, lineno)
+            if len(tokens) < 3 or tokens[2][0] != ":":
+                bad = tokens[2][1] if len(tokens) > 2 else tokens[1][1] + len(name)
+                raise NetSyntaxError(lineno, bad, "':'")
+            arrows = [k for k, (tok, _) in enumerate(tokens) if tok == "->"]
+            if len(arrows) != 1:
+                where = tokens[-1][1] + len(tokens[-1][0])
+                raise NetSyntaxError(lineno, where, "exactly one '->'")
+            known.add(name)
+            transitions.append(name)
+            pre[name] = {}
+            post[name] = {}
+            for tok, tcol in tokens[3:arrows[0]]:
+                parse_arc_term(tok, tcol, lineno, pre[name])
+            for tok, tcol in tokens[arrows[0] + 1:]:
+                parse_arc_term(tok, tcol, lineno, post[name])
+        else:
+            raise NetSyntaxError(lineno, col, "'pl' or 'tr'")
+    net = PetriNet(places, transitions, pre, post)
+    return NetDocument(net, net.make_marking(marking))
+
+
+# lines that reach each check of the text reader, valid ones among them
+_TEXT_LINES = [
+    "pl", "pl c", "pl c 1", "pl c 0", "pl c 1 2", "pl c x", "pl c -1",
+    "pl c 1_0", "pl c \u0663", "pl c*2", "pl a", "pl t", "pl c # note",
+    "tr", "tr u", "tr u :", "tr u : ->", "tr u a -> b", "tr u -> a",
+    "tr u : a b", "tr u : a -> b -> a", "tr u : a*0 -> b", "tr u : a*x -> b",
+    "tr u : a* -> b", "tr u : *2 -> b", "tr u : z -> b", "tr u : a -> z",
+    "tr t : ->", "tr a : ->", "tr u : a*2 a -> b*3 b", "tr u : a -> a",
+    "tr -> : a b", "tr u : : -> a", "tr u : a -> b*0", "tr u : a -> # b",
+    "tr u : a ->b", "tr u : a->b", "xx a", ":", "->", "#", "# pl c",
+    "pl\tc\t1", "\ttr\tu\t:\ta\t->\tb", "pl\u00a0c", "pl\u3000c\u20091",
+    "tr\u2009u : a\u00a0-> b\u202f", "pl c\x1cpl d", "pl c 1\x85tr u : c ->",
+]
+
+
+def _text_corpus(monkeypatch, safe_net_corpus):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    import workloads
+
+    texts = [text for name in workloads.WORKLOADS for seed in (401, 7)
+             for case in workloads.build(name, seed, 10.0)
+             for file, text in case.files.items() if file.endswith(".net")]
+    texts += [write_net_text(doc) for doc in safe_net_corpus(2024, 200)]
+    prefix = "pl a 1\npl b\ntr t : a -> b\n"
+    for line in _TEXT_LINES:
+        for indent in ("", "  ", "\t", "\u00a0"):
+            texts += [indent + line, prefix + indent + line,
+                      prefix + indent + line + "\n" + line + "\n"]
+    return texts
+
+
+def test_parse_net_text_matches_the_reference(monkeypatch, safe_net_corpus):
+    texts = _text_corpus(monkeypatch, safe_net_corpus)
+    outcomes = [_outcome(_reference_parse_net_text, text) for text in texts]
+    for text, expected in zip(texts, outcomes):
+        assert _outcome(parse_net_text, text) == expected, text
+    raised = [o for o in outcomes if isinstance(o, tuple)]
+    assert len(raised) > 300
+    assert {kind for kind, _ in raised} == {NetSyntaxError, DuplicateId,
+                                            UnknownPlace}

@@ -3,6 +3,8 @@
 import random
 import time
 from fractions import Fraction
+from itertools import count
+from pathlib import Path
 from typing import Optional
 
 from coplaces.formats import NetDocument, parse_net_text, write_net_text
@@ -11,6 +13,8 @@ from coplaces.ptnet import PetriNet, oracle_matrix
 from coplaces.reductions import ReductionResult, _ratio, reduce_net
 from coplaces.tfg import (Equation, EquationSystem, build_tfg,
                           write_equation_system)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # resists all three rules: the fork shape blocks chains, the self-loop on
 # p1 breaks the p1/p2 symmetry, and no place has a constant column
@@ -281,6 +285,176 @@ def test_reducer_matches_whole_net_reference(safe_net_corpus):
     assert fired["R"] > 500 and fired["A"] > 100
 
 
+class _PassReducer:
+    """The per-pass reducer that `reduce_net` replaced, kept as a reference.
+
+    Each pass derives every place's sparse column from scratch, groups
+    the places on (marking, column) and applies the first matching rule
+    once; the output defines the residual net, the equation trail and the
+    ratio that the incremental reducer must reproduce.
+    """
+
+    def __init__(self, doc: NetDocument):
+        self.places = list(doc.net.places)
+        self.transitions = list(doc.net.transitions)
+        self.marking = dict(doc.initial)
+        self.pre = {t: dict(doc.net.pre[t]) for t in self.transitions}
+        self.post = {t: dict(doc.net.post[t]) for t in self.transitions}
+        self.equations: list[Equation] = []
+        taken = set(doc.net.places) | set(doc.net.transitions)
+        self.fresh_names = (name for name in (f"a{k}" for k in count(1))
+                            if name not in taken)
+
+    def columns(self) -> dict[str, dict[str, tuple[int, int]]]:
+        cols: dict[str, dict[str, tuple[int, int]]] = {p: {} for p in self.places}
+        for t in self.transitions:
+            for p, w in self.pre[t].items():
+                cols[p][t] = (w, self.post[t].get(p, 0))
+            for p, w in self.post[t].items():
+                cols[p].setdefault(t, (0, w))
+        return cols
+
+    def drop_place(self, p: str, col: dict[str, tuple[int, int]]) -> None:
+        self.places.remove(p)
+        del self.marking[p]
+        for t in col:
+            self.pre[t].pop(p, None)
+            self.post[t].pop(p, None)
+
+    def apply_duplicate(self, cols) -> bool:
+        classes: dict[tuple, list[str]] = {}
+        for p in self.places:
+            classes.setdefault((self.marking[p], tuple(cols[p].items())),
+                               []).append(p)
+        for p, *twins in classes.values():
+            if twins:
+                self.drop_place(twins[0], cols[twins[0]])
+                self.equations.append(Equation("R", twins[0], (p,)))
+                return True
+        return False
+
+    def apply_constant(self, cols) -> bool:
+        for p in self.places:
+            k = self.marking[p]
+            if k in (0, 1) and all(w == v <= k for w, v in cols[p].values()):
+                self.drop_place(p, cols[p])
+                self.equations.append(Equation("R", p, (k,)))
+                return True
+        return False
+
+    def _chain_at(self, p: str, cols) -> Optional[tuple[str, str]]:
+        consumers = [t for t, (w, _) in cols[p].items() if w]
+        if len(consumers) != 1:
+            return None
+        t = consumers[0]
+        if self.pre[t] != {p: 1} or len(self.post[t]) != 1:
+            return None
+        (q, weight), = self.post[t].items()
+        if weight != 1 or q == p or self.marking[q] != 0:
+            return None
+        if [u for u, (_, w) in cols[q].items() if w] != [t]:
+            return None
+        return t, q
+
+    def apply_chain(self, cols) -> bool:
+        for p in self.places:
+            found = self._chain_at(p, cols)
+            if found is None:
+                continue
+            t, q = found
+            x = next(self.fresh_names)
+            del cols[p][t], cols[q][t], self.pre[t], self.post[t]
+            self.transitions.remove(t)
+            for u in cols[q]:
+                self.pre[u][x] = self.pre[u].pop(q)
+            for u in cols[p]:
+                self.post[u][x] = self.post[u].pop(p)
+            self.marking[x] = self.marking[p]
+            self.places.remove(p)
+            self.places.remove(q)
+            del self.marking[p], self.marking[q]
+            self.places.append(x)
+            self.equations.append(Equation("A", x, (p, q)))
+            return True
+        return False
+
+    def run(self) -> None:
+        while True:
+            cols = self.columns()
+            if not (self.apply_duplicate(cols) or self.apply_constant(cols)
+                    or self.apply_chain(cols)):
+                return
+
+
+def _pass_texts(doc: NetDocument) -> tuple[str, str, Fraction]:
+    reducer = _PassReducer(doc)
+    reducer.run()
+    net = PetriNet(reducer.places, reducer.transitions, reducer.pre,
+                   reducer.post)
+    residual = NetDocument(net, net.make_marking(reducer.marking))
+    return (write_net_text(residual),
+            write_equation_system(EquationSystem(reducer.equations)),
+            _ratio(doc.net.places, net.places))
+
+
+def _shuffled_rings(rng: random.Random) -> NetDocument:
+    """Closed chains and cycles in shuffled order, some places doubled.
+
+    Each ring carries one token. A doubled place copies the arcs and the
+    marking of its original, so the twin, constant and chain rules
+    interleave along the rings.
+    """
+    places, marking, arcs = [], {}, []
+    for r in range(rng.randint(1, 4)):
+        ring = [f"r{r}_{i}" for i in range(rng.randint(1, 12))]
+        places += ring
+        marking.update((p, 0) for p in ring)
+        marking[rng.choice(ring)] = 1
+        arcs += [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
+    transitions = [f"t{k}" for k in range(len(arcs))]
+    pre = {t: {a: 1} for t, (a, _) in zip(transitions, arcs)}
+    post = {t: {b: 1} for t, (_, b) in zip(transitions, arcs)}
+    doubled = rng.sample(places, rng.randint(0, min(3, len(places))))
+    for i, source in enumerate(doubled):
+        clone = f"d{i}"
+        for flow in (*pre.values(), *post.values()):
+            if source in flow:
+                flow[clone] = flow[source]
+        marking[clone] = marking[source]
+        places.append(clone)
+    rng.shuffle(places)
+    rng.shuffle(transitions)
+    net = PetriNet(places, transitions, pre, post)
+    return NetDocument(net, net.make_marking(marking))
+
+
+def _family_docs(monkeypatch) -> list[NetDocument]:
+    """The text nets of every workload of the benchmark, at two seeds."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    return [parse_net_text(text)
+            for name in workloads.WORKLOADS for seed in (401, 7)
+            for case in workloads.build(name, seed, 10.0)
+            for file, text in case.files.items() if file.endswith(".net")]
+
+
+def test_reducer_matches_per_pass_reference(safe_net_corpus, monkeypatch):
+    rng = random.Random(2018)
+    docs = (safe_net_corpus(2024, 500) + safe_net_corpus(53, 200)
+            + [_targeted_doc(rng) for _ in range(600)]
+            + [_shuffled_rings(rng) for _ in range(200)]
+            + [_cycles_with_duplicates(n) for n in (1, 2, 7)]
+            + _family_docs(monkeypatch))
+    fired = {"R": 0, "A": 0}
+    for doc in docs:
+        got = _texts(doc)
+        assert got == _pass_texts(doc), write_net_text(doc)
+        for tag in fired:
+            fired[tag] += got[1].count(f"# {tag} ")
+    assert fired["R"] > 1000 and fired["A"] > 1000, fired
+
+
 def _cycles_with_duplicates(n: int) -> NetDocument:
     lines = [f"pl {p}{i}{' 1' if p == 'x' else ''}"
              for i in range(n) for p in "xyzw"]
@@ -297,6 +471,27 @@ def test_reduction_cost_of_two_hundred_places():
     elapsed = time.perf_counter() - started
     assert result.ratio == 1 and len(result.equations) == 200
     assert elapsed < 2.0
+
+
+def test_reduction_cost_of_a_closed_chain_of_ten_thousand_places():
+    n = 10_000
+    doc = parse_net_text("".join(f"pl p{i}{' 1' * (i == 0)}\n" for i in range(n))
+                         + "".join(f"tr t{i} : p{i} -> p{(i + 1) % n}\n"
+                                   for i in range(n)))
+    started = time.perf_counter()
+    result = reduce_net(doc)
+    elapsed = time.perf_counter() - started
+    assert result.ratio == 1 and len(result.equations) == n
+    assert elapsed < 2.0
+
+
+def test_reduction_cost_of_two_thousand_places():
+    doc = _cycles_with_duplicates(500)
+    started = time.perf_counter()
+    result = reduce_net(doc)
+    elapsed = time.perf_counter() - started
+    assert result.ratio == 1 and len(result.equations) == 2000
+    assert elapsed < 1.0
 
 
 # -- the reduced pipeline against the oracle under net edits -----------------
