@@ -62,7 +62,7 @@ from .errors import (IncompleteRootRelation, InvalidRootRelation, NotSafe,
                      shown, shown_nodes)
 from .formats import NetDocument
 from .matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument, bits,
-                     permute, transpose)
+                     reorder, transpose)
 from .ptnet import (DEFAULT_STATE_CAP, DEFAULT_TIME_BUDGET,
                     independent_parts, oracle_matrix)
 from .tfg import ConstantNode, Group, TokenFlowGraph
@@ -134,10 +134,9 @@ class RootRelation:
 
         # place rows move into root order; a 0-constant gets its 0 diagonal
         source = [reduced.index.get(root, -1) for root in tfg.roots]
-        ones, zeros = reduced.full_rows()
-        ones = [permute(ones[s], source) if s >= 0 else 0 for s in source]
-        zeros = [permute(zeros[s], source) if s >= 0 else (root.value == 0) << k
-                 for k, (root, s) in enumerate(zip(tfg.roots, source))]
+        ones, zeros = (reorder(rows, source) for rows in reduced.full_rows())
+        zeros = [row if s >= 0 else (root.value == 0) << k for k, (root, row, s)
+                 in enumerate(zip(tfg.roots, zeros, source))]
         cells = ConcurrencyMatrix(tfg.roots, fill=UNDECIDED)
         cells.add_ones(ones)
         cells.add_zeros(zeros)
@@ -331,9 +330,7 @@ def matrix_partial(tfg: TokenFlowGraph, rel2: RootRelation) -> ConcurrencyMatrix
     """
     matrix = ConcurrencyMatrix(tfg.nodes, fill=UNDECIDED)
     source = [rel2.cells.index.get(node, -1) for node in tfg.nodes]
-    _, zeros = rel2.cells.full_rows()
-    matrix.add_zeros([permute(zeros[s], source) if s >= 0 else 0
-                      for s in source])
+    matrix.add_zeros(reorder(rel2.cells.full_rows()[1], source))
     _propagate_roots(tfg, rel2, matrix)
     matrix.add_zeros(_close_zeros(tfg, _heads_first(tfg), *matrix.full_rows()))
     return matrix

@@ -20,16 +20,17 @@ written ``k(s)``; isolated symbols stay literal except that a literal digit
 directly followed by another run is wrapped as ``1(s)`` to keep decoding
 unambiguous. The decoder is liberal: it accepts any mix of runs (including
 k = 1) and literals, resolving digit sequences greedily as run counts when
-they are followed by ``(``. Presence of ``(`` in a row is what tells the
-reader that a file is run-length encoded.
+they are followed by ``(``; one match takes a row's longest prefix of
+whole tokens and one split cuts it into literals and runs, so a row decodes
+in linear time. Presence of ``(`` in a row is what tells the reader that a
+file is run-length encoded.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import groupby, zip_longest
-from operator import itemgetter
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (BadHeader, BadSymbol, OrderMismatch, RowLengthMismatch,
@@ -72,17 +73,6 @@ def bits(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
-def permute(mask: int, source: Sequence[int]) -> int:
-    """`mask` moved into another node order: bit k is bit source[k] of it,
-    or 0 where source[k] is -1. The old order has at most len(source) nodes.
-    """
-    if not source:
-        return 0
-    # bit j of `mask` at position j, and a 0 at position -1
-    text = format(mask, f"0{len(source) + 1}b")[::-1]
-    return int("".join(itemgetter(*source)(text))[::-1], 2)
-
-
 def transpose(rows: Sequence[int], width: int) -> list[int]:
     """The `width` columns of `rows`: bit j of column k is bit k of rows[j].
 
@@ -100,6 +90,16 @@ def transpose(rows: Sequence[int], width: int) -> list[int]:
         for k in range(width):
             columns[k] |= int(text[width - 1 - k::width], 2) << start
     return columns
+
+
+def reorder(rows: Sequence[int], source: Sequence[int]) -> list[int]:
+    """Symmetric `rows` moved into another node order: bit j of row k is
+    bit source[j] of rows[source[k]], or 0 where either is -1. By symmetry,
+    column source[k] of the rows picked in the new order is new row k.
+    """
+    picked = [rows[s] if s >= 0 else 0 for s in source]
+    columns = transpose(picked, len(rows))
+    return [columns[s] if s >= 0 else 0 for s in source]
 
 
 class ConcurrencyMatrix:
@@ -273,7 +273,9 @@ def _encode_row_rle(row: str) -> str:
     return "".join(reversed(out))
 
 
-_RLE_TOKEN = re.compile(r"(\d+)\(([01.])\)|([01.])")
+# a run's count is a whole digit block, so no block is read twice
+_RLE_TOKENS = re.compile(r"(?:\d+\([01.]\)|[01]+|\.)*")
+_RLE_RUN = re.compile(r"(?<!\d)(\d+)\(([01.])\)")
 _BAD_SYMBOL = re.compile(r"[^01.]")
 _ZERO_BITS = str.maketrans("01.", "100")
 _TWOS = bytes.maketrans(b"01", b"\x00\x02")
@@ -281,27 +283,22 @@ _DOTS = bytes.maketrans(b"2", b".")
 
 
 def _decode_row_rle(text: str, row: int) -> str:
-    parts: list[str] = []
-    length = 0
-    pos = 0
-    while pos < len(text):
-        match = _RLE_TOKEN.match(text, pos)
-        if match is None:
-            raise BadSymbol(row, length)
-        if match.group(1) is not None:
-            digits = match.group(1).lstrip("0")
-            # int() refuses counts of thousands of digits; no row needs them
-            if len(digits) > len(str(row + 1)):
-                raise RowLengthMismatch(row)
-            count, symbol = int(digits or "0"), match.group(2)
-        else:
-            count, symbol = 1, match.group(3)
-        # bound the run before expanding it: row i holds i + 1 cells
-        if count > row + 1 - length:
-            raise RowLengthMismatch(row)
-        parts.append(symbol * count)
-        length += count
-        pos = match.end()
+    prefix = _RLE_TOKENS.match(text).group()
+    # literal, count, symbol, literal, count, symbol, ..., literal
+    parts = _RLE_RUN.split(prefix)
+    counts = [count.lstrip("0") or "0" for count in parts[1::3]]
+    # bound the runs before expanding them: row i holds i + 1 cells, and
+    # int() refuses counts of thousands of digits, which no row needs
+    if max(map(len, counts), default=0) > len(str(row + 1)):
+        raise RowLengthMismatch(row)
+    counts = list(map(int, counts))
+    length = sum(counts) + sum(map(len, parts[::3]))
+    if length > row + 1:
+        raise RowLengthMismatch(row)
+    if len(prefix) < len(text):
+        raise BadSymbol(row, length)
+    parts[1::3] = [symbol * count for symbol, count in zip(parts[2::3], counts)]
+    del parts[2::3]
     return "".join(parts)
 
 
@@ -339,7 +336,7 @@ def read_matrix(text: str) -> MatrixDocument:
 
     lines = lines[1 + n:1 + 2 * n]
     rle = any("(" in line for line in lines)
-    rows = []
+    ones, zeros = [], []        # the cells (i, 0..i) of each row i
     for i, raw in enumerate(lines):
         raw = raw.strip()
         row = _decode_row_rle(raw, i) if rle else raw
@@ -348,13 +345,14 @@ def read_matrix(text: str) -> MatrixDocument:
         # int(row, 2) also takes '_', '+', spaces and other digits: check first
         if bad := _BAD_SYMBOL.search(row):
             raise BadSymbol(i, bad.start())
-        rows.append(row)
+        ones.append(int(row.replace(".", "0")[::-1], 2))
+        zeros.append(int(row.translate(_ZERO_BITS)[::-1], 2))
+    del lines                   # the row texts go before the mirror's scratch
     matrix = ConcurrencyMatrix(names, fill=UNDECIDED)
-    # the file holds cells (i, 0..i); column i holds the rest of row i
-    for i, column in enumerate(zip_longest(*rows, fillvalue="")):
-        row = (rows[i][:i] + "".join(column))[::-1]
-        matrix._ones[i] = int(row.replace(".", "0"), 2)
-        matrix._zeros[i] = int(row.translate(_ZERO_BITS), 2)
+    # column i of the triangle holds the rest of row i
+    matrix._ones, matrix._zeros = (
+        [row | column for row, column in zip(rows, transpose(rows, n))]
+        for rows in (ones, zeros))
     return MatrixDocument(tuple(names), matrix, "rle" if rle else "plain")
 
 

@@ -82,7 +82,6 @@ class _Reducer:
     def __init__(self, doc: NetDocument):
         self.transitions = doc.net.transitions
         self.rank = {t: i for i, t in enumerate(self.transitions)}
-        self.removed: set[str] = set()
         self.marking = dict(doc.initial)
         self.pre = {t: dict(doc.net.pre[t]) for t in self.transitions}
         self.post = {t: dict(doc.net.post[t]) for t in self.transitions}
@@ -203,7 +202,6 @@ class _Reducer:
         # x inherits p's producers and q's consumers: besides t, q's
         # column holds only consumers of q and p's only producers of p
         del col_p[t], col_q[t], self.pre[t], self.post[t]
-        self.removed.add(t)
         for u in col_q:
             self.pre[u][x] = self.pre[u].pop(q)
         for u in col_p:
@@ -239,7 +237,7 @@ def reduce_net(doc: NetDocument,
     reducer = _Reducer(doc)
     reducer.run(None if budget is None else time.monotonic() + budget)
     places = [p for p in reducer.order if p in reducer.live]
-    transitions = [t for t in reducer.transitions if t not in reducer.removed]
+    transitions = [t for t in reducer.transitions if t in reducer.pre]
     net = PetriNet(places, transitions, reducer.pre, reducer.post)
     residual = NetDocument(net, net.make_marking(reducer.marking))
     return ReductionResult(

@@ -142,7 +142,8 @@ class EquationSystem:
         return f"EquationSystem({len(self.equations)} equations)"
 
 
-_EQ_LINE = re.compile(r"^#\s*(\S+)\s*\|-\s*(\S+)\s*=\s*(.+?)\s*$")
+# lines are stripped, so the term runs to the end of the line
+_EQ_LINE = re.compile(r"#\s*(\S+)\s*\|-\s*(\S+)\s*=\s*(.+)")
 
 
 def _parse_term(token: str, lineno: int) -> Term:
@@ -163,7 +164,7 @@ def parse_equation_system(text: str) -> EquationSystem:
         line = raw.strip()
         if not line or line.startswith("//"):
             continue
-        match = _EQ_LINE.match(line)
+        match = _EQ_LINE.fullmatch(line)
         if match is None:
             raise EquationSyntaxError(lineno)
         tag, lhs, rhs = match.groups()

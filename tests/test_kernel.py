@@ -15,7 +15,7 @@ from coplaces.kernel import (PropagationStats, RootRelation, _close_zeros,
 from coplaces.tfg import ConstantNode
 from coplaces.formats import NetDocument, write_net_text
 from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
-                             bits, permute, read_matrix, transpose,
+                             bits, read_matrix, transpose,
                              write_matrix)
 from coplaces.ptnet import PetriNet, independent_parts, oracle_matrix
 from coplaces.reductions import reduce_net
@@ -386,10 +386,7 @@ def _reference_row_closure(tfg, rel2):
     derived 0s met a 1 (and were dropped).
     """
     matrix = ConcurrencyMatrix(tfg.nodes, fill=UNDECIDED)
-    source = [rel2.cells.index.get(node, -1) for node in tfg.nodes]
-    _, zeros = rel2.cells.full_rows()
-    matrix.add_zeros([permute(zeros[s], source) if s >= 0 else 0
-                      for s in source])
+    matrix.add_zeros(_reference_seed(tfg, rel2).full_rows()[1])
     _propagate_roots(tfg, rel2, matrix)
 
     ones, zeros = matrix.full_rows()

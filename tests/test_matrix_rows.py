@@ -2,20 +2,22 @@
 
 Each row operation of `ConcurrencyMatrix` (`relate`, `full_rows`,
 `add_ones`, `add_zeros`, `restrict`, `copy`, `row_symbols`), the row movers
-`permute` and `transpose` and each row-wise reader and writer
+`transpose` and `reorder` (and `permute`, the per-row mover `reorder`
+replaced) and each row-wise reader and writer
 (`compare_matrices`, `read_matrix`, `write_matrix`) is checked on seeded
 random cases against the cell loop it replaces; every write keeps the rows
 symmetric.
 """
 
 import random
+from operator import itemgetter
 
 import pytest
 
 from coplaces.errors import BadSymbol
 from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
-                             _encode_row_rle, bits, compare_matrices, permute,
-                             read_matrix, transpose, write_matrix)
+                             _encode_row_rle, bits, compare_matrices,
+                             read_matrix, reorder, transpose, write_matrix)
 
 
 def _order(n):
@@ -146,6 +148,17 @@ def test_add_ones_matches_set_at_loop(seed):
                 assert fast.write_count == slow.write_count
 
 
+def permute(mask, source):
+    """The one-row string move that `reorder` replaced, kept as its
+    reference: bit k is bit source[k] of `mask`, or 0 where source[k] is
+    -1."""
+    if not source:
+        return 0
+    # bit j of `mask` at position j, and a 0 at position -1
+    text = format(mask, f"0{len(source) + 1}b")[::-1]
+    return int("".join(itemgetter(*source)(text))[::-1], 2)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_permute_matches_bit_loop(seed):
     rng = random.Random(seed)
@@ -160,6 +173,29 @@ def test_permute_matches_bit_loop(seed):
                 assert permute(mask, source) == expected
     assert permute(0, []) == 0
     assert permute(0b101, [2, -1, 0, 1]) == 0b101
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reorder_matches_bit_loop(seed):
+    rng = random.Random(seed)
+    # old node counts across a 64-bit word, new ones across blocks of 512
+    for width in (0, 1, 63, 64, 65):
+        rows = _symmetric_rows(rng, width, rng.choice((0.1, 0.5, 0.9)))
+        for count in (0, 511, 512, 513, 1100):
+            # some or all old nodes at random new places, the rest absent
+            most = min(width, count)
+            kept = rng.sample(range(width),
+                              rng.choice((most, rng.randint(0, most))))
+            source = kept + [-1] * (count - len(kept))
+            rng.shuffle(source)
+            where = {s: k for k, s in enumerate(source) if s >= 0}
+            expected = [sum(1 << where[j] for j in bits(rows[s]) if j in where)
+                        if s >= 0 else 0 for s in source]
+            assert reorder(rows, source) == expected
+            assert expected == [permute(rows[s], source) if s >= 0 else 0
+                                for s in source]
+    assert reorder([], []) == []
+    assert reorder([0b1], [-1, 0]) == [0, 0b10]
 
 
 @pytest.mark.parametrize("seed", range(4))

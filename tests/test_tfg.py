@@ -1,6 +1,8 @@
 """Equation parsing, graph well-formedness, and the token game."""
 
 import random
+import re
+import time
 
 import pytest
 
@@ -11,7 +13,7 @@ from coplaces.errors import (BadConstant, DuplicateRemoval,
 from coplaces.matrix import bits
 from coplaces.ptnet import explore_reachable
 from coplaces.reductions import reduce_net
-from coplaces.tfg import (Configuration, ConstantNode, Equation,
+from coplaces.tfg import (_EQ_LINE, Configuration, ConstantNode, Equation,
                           EquationSystem, build_tfg, check_configuration,
                           find_marked_root, parse_equation_system,
                           propagate_token, split_token, successors,
@@ -51,6 +53,32 @@ def test_parse_rejects_bad_constants_and_syntax():
         parse_equation_system("# Z |- x = y\n")
     with pytest.raises(EquationSyntaxError):
         parse_equation_system("# R |- x = y + 1\n")
+
+
+def test_equation_line_matches_the_lazy_pattern():
+    # the replaced pattern: a lazy term, then `\s*$`; a stripped line ends
+    # in no space, so its term reached the end of the line as well
+    lazy = re.compile(r"^#\s*(\S+)\s*\|-\s*(\S+)\s*=\s*(.+?)\s*$")
+    rng = random.Random(23)
+    alphabet = ["#", "R", "A", "|-", "|", "-", "=", "+", "x", "1", " ", "  ",
+                "\t", "\u3000", "\x85", "\xa0"]
+    for _ in range(20_000):
+        line = "".join(rng.choice(alphabet)
+                       for _ in range(rng.randint(0, 14))).strip()
+        if rng.random() < 0.5:
+            line = "#" + line
+        old, new = lazy.match(line), _EQ_LINE.fullmatch(line)
+        assert (old and old.groups()) == (new and new.groups())
+
+
+def test_equation_line_with_long_inner_space_parses_in_linear_time():
+    # the lazy pattern retried the trailing space at each step of the
+    # term: seconds at this length; the spaces stay inside the term
+    term = "b" + " " * 20_000 + "c"
+    start = time.perf_counter()
+    (eq,) = parse_equation_system(f"# R |- a = {term}\n")
+    assert time.perf_counter() - start < 0.5
+    assert eq == Equation("R", "a", (term,))
 
 
 def test_parse_skips_comments_and_round_trips(fig_equations, fixture_path):
