@@ -166,13 +166,80 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _text_of(elem: ET.Element) -> str:
-    return "".join(elem.itertext()).strip()
-
-
 _COLORED_MARKERS = {"hlinscription", "hlinitialmarking", "declaration",
                     "declarations", "structure", "condition", "hlmarking",
                     "type"}
+
+# what the children of an open element are to `_NetReader`
+_SKIP, _NETS, _ON_NET, _ON_PAGE, _ANNOTATIONS, _ANNOTATION = range(6)
+
+
+class _NetReader:
+    """An `ET.XMLParser` target that keeps no element tree, only what
+    `parse_pnml` checks: the root's local tag, the `type` of each net, the
+    ids of the first net's pages and of pages on those, and one record
+    ``(kind, id, source, target, children)`` per place, transition and arc
+    among the children of the first net (`on_net`) and of its pages
+    (`on_page`), None for an absent attribute. `children` holds ``(tag,
+    value, text)`` per child, `text` being all the text below it, stripped.
+    Other elements (name, graphics, toolspecific) carry no semantics.
+    """
+
+    def __init__(self):
+        self.tags: dict[str, str] = {}      # one `_local` call per tag
+        self.root: str | None = None
+        self.net_types: list[str] = []
+        self.pages: list[str | None] = []
+        self.nested: list[str | None] = []
+        self.on_net: list[tuple] = []
+        self.on_page: list[tuple] = []
+        self.records = self.on_net          # the list holding the open node
+        self.roles = [_SKIP]
+        self.annotation = ("", "")          # tag and value of a node's open child
+        self.chunks: list[str] = []
+        self.data = self.chunks.append
+
+    def start(self, tag: str, attrib: dict[str, str]) -> None:
+        kind = self.tags.get(tag)
+        if kind is None:
+            kind = self.tags[tag] = _local(tag)
+        role = self.roles[-1]
+        if role == _ON_PAGE or role == _ON_NET:
+            records = self.on_page if role == _ON_PAGE else self.on_net
+            if kind in ("place", "transition", "arc"):
+                records.append((kind, attrib.get("id"), attrib.get("source"),
+                                attrib.get("target"), ()))
+                self.records = records
+                role = _ANNOTATIONS
+            elif kind == "page":
+                (self.pages if role == _ON_NET else self.nested).append(
+                    attrib.get("id"))
+                role = _ON_PAGE if role == _ON_NET else _SKIP
+            else:
+                role = _SKIP
+        elif role == _ANNOTATIONS:
+            self.annotation = (kind, attrib.get("value", ""))
+            self.chunks.clear()
+            role = _ANNOTATION
+        elif self.root is None:
+            self.root = kind
+            role = _NETS if kind == "pnml" else _SKIP
+            if kind == "net":
+                self.net_types.append(attrib.get("type", ""))
+                role = _ON_NET
+        elif role == _NETS and kind == "net":
+            self.net_types.append(attrib.get("type", ""))
+            role = _ON_NET if len(self.net_types) == 1 else _SKIP
+        else:
+            role = _SKIP
+        self.roles.append(role)
+
+    def end(self, tag: str) -> None:
+        if self.roles.pop() == _ANNOTATION:
+            record = self.records[-1]
+            if not record[4]:
+                record = self.records[-1] = (*record[:4], [])
+            record[4].append((*self.annotation, "".join(self.chunks).strip()))
 
 
 def parse_pnml(data) -> NetDocument:
@@ -185,41 +252,33 @@ def parse_pnml(data) -> NetDocument:
     """
     if hasattr(data, "read"):
         data = data.read()
+    reader = _NetReader()
+    parser = ET.XMLParser(target=reader)
     try:
-        root = ET.fromstring(data)
+        parser.feed(data)
+        parser.close()
     except ET.ParseError as exc:
         raise MalformedNet(f"XML parse error: {exc}") from None
 
-    kind = _local(root.tag)
-    if kind == "pnml":
-        nets = [child for child in root if _local(child.tag) == "net"]
-    elif kind == "net":
-        nets = [root]
-    else:
-        tag = shown(kind, quote="", noun="a tag ")
+    if reader.root not in ("pnml", "net"):
+        tag = shown(reader.root, quote="", noun="a tag ")
         raise MalformedNet(f"expected a <pnml> or <net> root, found <{tag}>")
-    if not nets:
+    if not reader.net_types:
         raise MalformedNet("no <net> element")
-    if len(nets) > 1:
+    if len(reader.net_types) > 1:
         raise UnsupportedNet("multiple <net> elements")
-    net_elem = nets[0]
 
-    net_type = net_elem.get("type", "")
+    net_type = reader.net_types[0]
     if any(marker in net_type.lower() for marker in ("symmetric", "highlevel")):
         raise UnsupportedNet(f"net type {shown(net_type)}")
 
-    # each element's tag is read once: the net's children, then its page's
-    elements = [(_local(child.tag), child) for child in net_elem]
-    pages = [elem for kind, elem in elements if kind == "page"]
+    pages = reader.pages
     if len(pages) > 1:
-        extra = pages[1].get("id", "<anonymous>")
+        extra = "<anonymous>" if pages[1] is None else pages[1]
         raise UnsupportedNet(f"multiple pages, e.g. page {shown(extra)}")
-    for page in pages:
-        on_page = [(_local(child.tag), child) for child in page]
-        if any(kind == "page" for kind, _ in on_page):
-            raise UnsupportedNet("nested page under"
-                                 f" {shown(page.get('id'), noun='a page ')}")
-        elements += on_page
+    if reader.nested:
+        raise UnsupportedNet("nested page under"
+                             f" {shown(pages[0], noun='a page ')}")
 
     places: list[str] = []
     marking: dict[str, int] = {}
@@ -227,40 +286,24 @@ def parse_pnml(data) -> NetDocument:
     arcs: list[tuple[str, str, str, int]] = []
     ids: set[str] = set()
 
-    def require_id(elem: ET.Element, kind: str,
-                   fallback: str | None = None) -> str:
-        """The unique id of `elem`; an element without one is refused,
-        unless it has a `fallback` name, which is not an id."""
-        ident = elem.get("id")
-        if not ident:
-            if fallback is None:
-                raise MalformedNet(f"<{kind}> element without an id")
-            return fallback
-        if ident in ids:
-            raise MalformedNet(f"duplicate id {shown(ident)}")
-        ids.add(ident)
-        return ident
-
-    def read_children(elem: ET.Element, kind: str, ident: str,
+    def read_children(children: list[tuple], kind: str, ident: str,
                       what: str | None = None, default: int = 0,
                       minimum: int = 0) -> int:
         """Refuse colour markers and a non-normal arc type among the
-        children of `elem`, then read its first `what` count annotation."""
-        node = None
-        for child in elem:
-            tag = _local(child.tag)
-            if tag == what and node is None:
-                node = child
+        `children` of an element, then read its first `what` count."""
+        text = None
+        for tag, value, content in children:
+            if tag == what and text is None:
+                text = content
             elif tag == "type" and kind == "arc":
-                value = _text_of(child) or child.get("value", "")
+                value = content or value
                 if value and value != "normal":
                     raise UnsupportedNet(f"arc {shown(ident)}"
                                          f" of type {shown(value)}")
             elif tag in _COLORED_MARKERS:
                 raise UnsupportedNet(f"<{tag}> on {kind} {shown(ident)}")
-        if node is None:
+        if text is None:
             return default
-        text = _text_of(node)
         value = parse_count(text)
         if value is None:
             raise MalformedNet(f"non-integer {what} {shown(text)}"
@@ -270,33 +313,39 @@ def parse_pnml(data) -> NetDocument:
                                f" on {shown(ident, noun='an id ')}")
         return value
 
-    for kind, elem in elements:
+    for kind, ident, source, target, children in (*reader.on_net,
+                                                  *reader.on_page):
+        if not ident:
+            # an arc without an id, or with an empty one, is named by its ends
+            if kind != "arc":
+                raise MalformedNet(f"<{kind}> element without an id")
+            ident = f"{source}->{target}"
+        elif ident in ids:
+            raise MalformedNet(f"duplicate id {shown(ident)}")
+        else:
+            ids.add(ident)
         if kind == "place":
-            ident = require_id(elem, kind)
-            marking[ident] = read_children(elem, kind, ident, "initialMarking")
+            marking[ident] = (read_children(children, kind, ident,
+                                            "initialMarking") if children else 0)
             places.append(ident)
         elif kind == "transition":
-            ident = require_id(elem, kind)
-            read_children(elem, kind, ident)
+            if children:
+                read_children(children, kind, ident)
             transitions.append(ident)
-        elif kind == "arc":
-            # an arc without an id, or with an empty one, is named by its ends
-            source, target = elem.get("source"), elem.get("target")
-            ident = require_id(elem, kind, f"{source}->{target}")
+        else:
             if not source or not target:
                 raise MalformedNet(f"arc {shown(ident)} lacks source or target")
-            weight = read_children(elem, kind, ident, "inscription", 1, 1)
+            weight = (read_children(children, kind, ident, "inscription", 1, 1)
+                      if children else 1)
             arcs.append((ident, source, target, weight))
-        # name/graphics/toolspecific and the like carry no semantics
 
-    place_set = set(places)
-    transition_set = set(transitions)
+    # `marking` holds the places and `pre` the transitions
     pre: dict[str, dict[str, int]] = {t: {} for t in transitions}
     post: dict[str, dict[str, int]] = {t: {} for t in transitions}
     for ident, source, target, weight in arcs:
-        if source in place_set and target in transition_set:
+        if source in marking and target in pre:
             flow, key = pre[target], source
-        elif source in transition_set and target in place_set:
+        elif source in pre and target in marking:
             flow, key = post[source], target
         else:
             raise MalformedNet(f"arc {shown(ident)} does not connect a place"

@@ -215,13 +215,19 @@ def _propagate_roots(tfg: TokenFlowGraph, rel2: RootRelation,
         stats.body_runs += flooded.bit_count()
     rows = [0] * len(tfg.nodes)
     for x in bits(flooded):
-        rows[x] = succs = 1 << x
+        rows[x] |= 1 << x
+        succs = 1 << x
         node = tfg.nodes[x]
         for child in tfg.a_group_of.get(node, ()):
             succs |= cones[index[child]]
         for target in tfg.r_targets_of.get(node, ()):
-            matrix.relate(succs, cones[index[target]])
-            succs |= cones[index[target]]
+            # the block succs x cone, both halves
+            cone = cones[index[target]]
+            for i in bits(succs):
+                rows[i] |= cone
+            for i in bits(cone):
+                rows[i] |= succs
+            succs |= cone
     # a root related to v is live (`RootRelation` writes its diagonal)
     for v, cone in enumerate(root_cones):
         near = 0

@@ -20,10 +20,10 @@ written ``k(s)``; isolated symbols stay literal except that a literal digit
 directly followed by another run is wrapped as ``1(s)`` to keep decoding
 unambiguous. The decoder is liberal: it accepts any mix of runs (including
 k = 1) and literals, resolving digit sequences greedily as run counts when
-they are followed by ``(``; one match takes a row's longest prefix of
-whole tokens and one split cuts it into literals and runs, so a row decodes
-in linear time. Presence of ``(`` in a row is what tells the reader that a
-file is run-length encoded.
+they are followed by ``(``; one split cuts a row into literals and runs,
+and the first literal character that is no symbol ends the row's valid
+prefix, so a row decodes in linear time and memory. Presence of ``(`` in a
+row is what tells the reader that a file is run-length encoded.
 """
 
 from __future__ import annotations
@@ -201,6 +201,8 @@ class ConcurrencyMatrix:
         low, width = (2 << i) - 1, i + 1
         ones = self._ones[i] & low
         undecided = ~(ones | self._zeros[i]) & low
+        if not undecided:
+            return format(ones, f"0{width}b")[::-1]
         # an undecided cell's '0' gains 2 to become '2', shown as '.'
         row = (int.from_bytes(format(ones, f"0{width}b").encode(), "big")
                + int.from_bytes(format(undecided, f"0{width}b").encode()
@@ -273,8 +275,6 @@ def _encode_row_rle(row: str) -> str:
     return "".join(reversed(out))
 
 
-# a run's count is a whole digit block, so no block is read twice
-_RLE_TOKENS = re.compile(r"(?:\d+\([01.]\)|[01]+|\.)*")
 _RLE_RUN = re.compile(r"(?<!\d)(\d+)\(([01.])\)")
 _BAD_SYMBOL = re.compile(r"[^01.]")
 _ZERO_BITS = str.maketrans("01.", "100")
@@ -283,9 +283,16 @@ _DOTS = bytes.maketrans(b"2", b".")
 
 
 def _decode_row_rle(text: str, row: int) -> str:
-    prefix = _RLE_TOKENS.match(text).group()
-    # literal, count, symbol, literal, count, symbol, ..., literal
-    parts = _RLE_RUN.split(prefix)
+    # literal, count, symbol, literal, count, symbol, ..., literal: a run's
+    # count is a whole digit block, so no block is read twice
+    parts = _RLE_RUN.split(text)
+    # the longest prefix of whole tokens ends at the first literal
+    # character that is no cell symbol
+    bad = None
+    for k in range(0, len(parts), 3):
+        if parts[k] and (bad := _BAD_SYMBOL.search(parts[k])):
+            parts[k:] = [parts[k][:bad.start()]]
+            break
     counts = [count.lstrip("0") or "0" for count in parts[1::3]]
     # bound the runs before expanding them: row i holds i + 1 cells, and
     # int() refuses counts of thousands of digits, which no row needs
@@ -295,7 +302,7 @@ def _decode_row_rle(text: str, row: int) -> str:
     length = sum(counts) + sum(map(len, parts[::3]))
     if length > row + 1:
         raise RowLengthMismatch(row)
-    if len(prefix) < len(text):
+    if bad:
         raise BadSymbol(row, length)
     parts[1::3] = [symbol * count for symbol, count in zip(parts[2::3], counts)]
     del parts[2::3]

@@ -44,28 +44,31 @@ class PetriNet:
                  post: Mapping[str, Mapping[str, int]] | None = None):
         self.places = tuple(places)
         self.transitions = tuple(transitions)
-        if len(set(self.places)) != len(self.places):
+        self._place_index = {p: i for i, p in enumerate(self.places)}
+        if len(self._place_index) != len(self.places):
             raise ValueError("duplicate place identifiers")
         if len(set(self.transitions)) != len(self.transitions):
             raise ValueError("duplicate transition identifiers")
-        if set(self.places) & set(self.transitions):
+        if not self._place_index.keys().isdisjoint(self.transitions):
             raise ValueError("place and transition identifiers overlap")
-        self._place_index = {p: i for i, p in enumerate(self.places)}
         self.pre = self._normalize(pre or {})
         self.post = self._normalize(post or {})
 
     def _normalize(self, flow: Mapping[str, Mapping[str, int]]):
+        known = self._place_index
         out: dict[str, dict[str, int]] = {t: {} for t in self.transitions}
         for t, arcs in flow.items():
-            if t not in out:
+            row = out.get(t)
+            if row is None:
                 raise ValueError(f"flow refers to unknown transition '{t}'")
+            # a known place with a positive weight costs one test
             for p, w in arcs.items():
-                if p not in self._place_index:
+                if w > 0 and p in known:
+                    row[p] = w
+                elif p not in known:
                     raise ValueError(f"flow refers to unknown place '{p}'")
-                if w < 0:
+                elif w < 0:
                     raise ValueError(f"negative arc weight on ('{t}', '{p}')")
-                if w > 0:
-                    out[t][p] = w
         return out
 
     def place_index(self, place: str) -> int:
@@ -75,7 +78,7 @@ class PetriNet:
                      ) -> dict[str, int]:
         """Build a total marking, filling unmentioned places with zero."""
         tokens = dict(tokens or {})
-        unknown = set(tokens) - set(self.places)
+        unknown = tokens.keys() - self._place_index.keys()
         if unknown:
             raise ValueError(f"marking mentions unknown places {sorted(unknown)}")
         for place, count in tokens.items():

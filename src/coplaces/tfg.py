@@ -86,8 +86,11 @@ class Equation:
             raise ValueError(f"bad equation tag {self.tag!r}")
         if not self.parts:
             raise ValueError("equation with an empty right-hand side")
-        for value in (term for term in (self.defined, *self.parts)
-                      if isinstance(term, int)):
+        constants = [term for term in (self.defined, *self.parts)
+                     if isinstance(term, int)]
+        if not constants:
+            return
+        for value in constants:
             if value not in (0, 1):
                 raise BadConstant(value)
         part_consts = [t for t in self.parts if isinstance(t, int)]
@@ -121,11 +124,9 @@ class EquationSystem:
     @property
     def variables(self) -> frozenset[str]:
         """All variable names occurring in the system."""
-        names = set()
-        for eq in self.equations:
-            names.update(t for t in (eq.defined, *eq.parts)
-                         if isinstance(t, str))
-        return frozenset(names)
+        names = {eq.defined for eq in self.equations}
+        names.update(*(eq.parts for eq in self.equations))
+        return frozenset(names - {0, 1})    # `Equation` allows no other constant
 
     def __iter__(self):
         return iter(self.equations)
@@ -146,13 +147,16 @@ class EquationSystem:
 _EQ_LINE = re.compile(r"#\s*(\S+)\s*\|-\s*(\S+)\s*=\s*(.+)")
 
 
-def _parse_term(token: str, lineno: int) -> Term:
+def _parse_term(text: str, lineno: int) -> Term:
+    """The term `text` holds: one word, as a name holds no space."""
+    words = text.split()
+    token = words[0] if len(words) == 1 else text.strip()
     if token.isdigit():
         value = parse_count(token)
         if value is None:
             raise EquationSyntaxError(lineno, "constant is not a decimal count")
         return value            # `Equation` checks that it is 0 or 1
-    if not token or "+" in token or "=" in token:
+    if len(words) != 1 or "+" in token or "=" in token:
         raise EquationSyntaxError(lineno, f"bad term {shown(token)}")
     return token
 
@@ -171,8 +175,7 @@ def parse_equation_system(text: str) -> EquationSystem:
         if tag not in ("R", "A"):
             raise EquationSyntaxError(lineno, f"bad tag {shown(tag)}")
         defined = _parse_term(lhs, lineno)
-        parts = tuple(_parse_term(token.strip(), lineno)
-                      for token in rhs.split("+"))
+        parts = tuple([_parse_term(token, lineno) for token in rhs.split("+")])
         try:
             equations.append(Equation(tag, defined, parts))
         except ValueError as exc:
@@ -255,8 +258,9 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
     for i, eq in enumerate(system):
         head: Node = ConstantNode(eq.defined, i) if isinstance(eq.defined, int) \
             else eq.defined
-        members: tuple[Node, ...] = tuple(
-            ConstantNode(t, i) if isinstance(t, int) else t for t in eq.parts)
+        # a constant part is the only part (`Equation` checks it)
+        members: tuple[Node, ...] = (ConstantNode(eq.parts[0], i),) \
+            if isinstance(eq.parts[0], int) else eq.parts
         if isinstance(head, str) and head in eq.parts:
             raise WellFormednessError("T4", [head],
                                       "node defined in terms of itself")
@@ -277,11 +281,12 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
             removed.add(target)
         groups.append(Group(eq.tag, head, members))
 
-    # T1: every variable outside P1 and P2 must be agglomeration-inserted
-    for name in sorted(system.variables):
-        if name not in p1_set and name not in p2_set and name not in a_heads:
-            raise WellFormednessError("T1", [name],
-                                      "name is not a place and never inserted")
+    # T1: every variable outside P1 and P2 must be agglomeration-inserted;
+    # the least stray name is the one a sorted scan meets first
+    stray = system.variables - p1_set - p2_set - a_heads
+    if stray:
+        raise WellFormednessError("T1", [min(stray)],
+                                  "name is not a place and never inserted")
 
     # canonical node order
     nodes: list[Node] = list(p1) + [p for p in p2 if p not in p1_set]
@@ -295,9 +300,9 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
 
     a_group_of: dict[Node, tuple[Node, ...]] = {}
     r_targets_of: dict[Node, list[Node]] = {}
-    head_groups_of: dict[Node, list[Group]] = {}
+    head_groups_of: dict[Node, tuple[Group, ...]] = {}
     for group in groups:
-        head_groups_of.setdefault(group.head, []).append(group)
+        head_groups_of[group.head] = head_groups_of.get(group.head, ()) + (group,)
         if group.tag == "A":
             a_group_of[group.head] = group.members
         else:
@@ -305,53 +310,52 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
                 r_targets_of.setdefault(member, []).append(group.head)
     r_targets_of = {v: tuple(ts) for v, ts in r_targets_of.items()}
 
-    def out_children(v: Node) -> tuple[Node, ...]:
-        return a_group_of.get(v, ()) + r_targets_of.get(v, ())
+    # the arc targets of each node, by index: agglomeration children, then
+    # redundancy targets; Kahn's algorithm, the cones and W5 all read them
+    children: list[tuple[int, ...]] = [()] * len(nodes)
+    for arcs in (a_group_of, r_targets_of):
+        for v, targets in arcs.items():
+            children[index[v]] += tuple(map(index.__getitem__, targets))
 
     # acyclicity via Kahn's algorithm with canonical tie-breaking; the heap
     # alone fixes the order, so arcs are walked as stored
-    indeg = {v: 0 for v in nodes}
-    for v in nodes:
-        for w in out_children(v):
+    indeg = [0] * len(nodes)
+    for targets in children:
+        for w in targets:
             indeg[w] += 1
-    ready = [index[v] for v in nodes if indeg[v] == 0]
+    ready = [v for v, d in enumerate(indeg) if not d]
     heapify(ready)
-    topo: list[Node] = []
+    topo: list[int] = []
     while ready:
-        v = nodes[heappop(ready)]
+        v = heappop(ready)
         topo.append(v)
-        for w in out_children(v):
+        for w in children[v]:
             indeg[w] -= 1
-            if indeg[w] == 0:
-                heappush(ready, index[w])
+            if not indeg[w]:
+                heappush(ready, w)
     if len(topo) != len(nodes):
-        stuck = [v for v in nodes if indeg[v] > 0]
-        raise WellFormednessError("Cycle", stuck)
+        raise WellFormednessError("Cycle", [v for v, d in zip(nodes, indeg) if d])
 
     # each node's cone is itself and its children's cones, children first
     cones = [0] * len(nodes)
     for v in reversed(topo):
-        cone = 1 << index[v]
-        for w in out_children(v):
-            cone |= cones[index[w]]
-        cones[index[v]] = cone
+        cone = 1 << v
+        for w in children[v]:
+            cone |= cones[w]
+        cones[v] = cone
 
     # a node is an arc target exactly when some group removes it
     roots = tuple(v for v in nodes if v not in removed)
 
-    warnings = []
-    for v in nodes:
-        if not out_children(v) and isinstance(v, str) and v not in p1_set:
-            warnings.append(f"leaf node '{v}' is not a place of the"
-                            f" initial net (W5)")
+    warnings = tuple(f"leaf node '{v}' is not a place of the initial net (W5)"
+                     for v, targets in zip(nodes, children)
+                     if not targets and isinstance(v, str) and v not in p1_set)
 
     return TokenFlowGraph(
         nodes=tuple(nodes), index=index, groups=tuple(groups), roots=roots,
-        topo=tuple(topo), cones=tuple(cones),
-        warnings=tuple(warnings),
-        a_group_of=a_group_of,
-        r_targets_of=r_targets_of,
-        head_groups_of={v: tuple(gs) for v, gs in head_groups_of.items()},
+        topo=tuple(map(nodes.__getitem__, topo)), cones=tuple(cones),
+        warnings=warnings, a_group_of=a_group_of, r_targets_of=r_targets_of,
+        head_groups_of=head_groups_of,
     )
 
 

@@ -124,7 +124,9 @@ def safe_net_corpus():
 
 # -- random token flow graphs and configurations -----------------------------
 
-def _random_tfg(rng: random.Random):
+def _random_system(rng: random.Random):
+    """A random well-formed equation system with its initial and residual
+    places, as `build_tfg` takes them."""
     counter = 0
 
     def fresh() -> str:
@@ -165,7 +167,11 @@ def _random_tfg(rng: random.Random):
     invented = {h for h in a_heads if h in removed}
     p1 = sorted(system.variables - invented)
     p2 = sorted(system.variables - removed)
-    return build_tfg(system, p1, p2)
+    return system, p1, p2
+
+
+def _random_tfg(rng: random.Random):
+    return build_tfg(*_random_system(rng))
 
 
 def _compose(rng: random.Random, total: int, buckets: int) -> list[int]:
@@ -231,6 +237,16 @@ def tfg_corpus():
     def make(seed: int, count: int):
         rng = random.Random(seed)
         return [_random_tfg(rng) for _ in range(count)]
+    return make
+
+
+@pytest.fixture(scope="session")
+def system_corpus():
+    """Factory for deterministic random well-formed equation systems, each
+    with its initial and residual places."""
+    def make(seed: int, count: int):
+        rng = random.Random(seed)
+        return [_random_system(rng) for _ in range(count)]
     return make
 
 

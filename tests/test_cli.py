@@ -3,6 +3,7 @@
 import io
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -127,6 +128,63 @@ def test_check_tfg_verdicts(tmp_path, capsys, fixture_path):
                        fixture_path("m2.net"), str(double))
     assert code == 3
     assert "T3" in err
+
+
+def test_check_tfg_refuses_a_term_with_inner_space(tmp_path, capsys,
+                                                  fixture_path):
+    spaced = tmp_path / "spaced.eq"
+    spaced.write_text("# A |- a2 = p3 + p4\n# R |- p5 = p4 p3\n")
+    code, stdout, err = run(capsys, "check-tfg", fixture_path("m1.net"),
+                            fixture_path("m2.net"), str(spaced))
+    assert (code, stdout) == (2, "")
+    assert err == ("error: equation syntax error at line 2:"
+                   " bad term 'p4 p3'\n")
+
+
+def _python_310():
+    """An interpreter that reports Python 3.10, or None."""
+    candidates = [shutil.which("python3.10")]
+    root = os.environ.get("PYENV_ROOT")
+    if root is None and shutil.which("pyenv"):
+        root = subprocess.run(["pyenv", "root"], capture_output=True,
+                              text=True).stdout.strip()
+    if root:
+        candidates += sorted(map(str, Path(root).glob("versions/3.10*/bin/python3")))
+    for candidate in filter(None, candidates):
+        probe = subprocess.run([candidate, "-c", "import sys;"
+                                " print(sys.version_info[:2] == (3, 10))"],
+                               capture_output=True, text=True)
+        if probe.stdout.strip() == "True":
+            return candidate
+    return None
+
+
+def test_matrix_is_the_same_under_python_310(tmp_path, monkeypatch,
+                                             fixture_path):
+    python = _python_310()
+    if python is None:
+        pytest.skip("no Python 3.10 interpreter")
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    import workloads
+
+    (case,) = workloads.build("kernel-wide", 401, 10.0)
+    case.write(tmp_path)
+    m1, m2 = fixture_path("m1"), fixture_path("m2")
+    commands = [["matrix", f"{m1}.net", "--equations", f"{m1}.eq",
+                 "--reduced", f"{m2}.net", "--oracle"],
+                [*case.commands[0][:-2]]]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(coplaces.__file__).parents[1])}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert dispatch(argv) == 0
+        ran = subprocess.run([python, "-m", "coplaces", *argv], env=env,
+                             capture_output=True, timeout=120)
+        assert ran.returncode == 0, ran.stderr
+        assert ran.stdout == out.getvalue().encode()
 
 
 def test_compare_contradiction_exit_code(tmp_path, capsys):

@@ -258,6 +258,30 @@ def test_rle_decoder_matches_the_token_loop():
                         == _outcome(_reference_decode_row_rle, text, row))
 
 
+def test_rle_decoder_matches_the_token_loop_on_random_rows():
+    rng = random.Random(29)
+    tokens = ["0", "1", ".", "(", ")", "2", "9", "3(1)", "10(0)", "2(.)",
+              "0(1)", "(1)", "1(", "x", "01(2)"]
+    for _ in range(20_000):
+        text = "".join(rng.choice(tokens) for _ in range(rng.randint(0, 8)))
+        row = rng.choice((0, 3, 9, 30))
+        assert (_outcome(_decode_row_rle, text, row)
+                == _outcome(_reference_decode_row_rle, text, row)), text
+
+
+def test_rle_row_of_literals_decodes_in_little_memory():
+    # a regex match over the row kept backtracking state per token: 30 MiB
+    text = ".1" * 100_000
+    tracemalloc.start()
+    try:
+        row = _decode_row_rle(text, len(text) - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row == text
+    assert peak < 4 << 20
+
+
 def _edited(rng, text):
     """`text` with one to three characters replaced, inserted or deleted,
     mostly among the matrix rows."""

@@ -1,5 +1,6 @@
 """Equation parsing, graph well-formedness, and the token game."""
 
+import heapq
 import random
 import re
 import time
@@ -14,7 +15,7 @@ from coplaces.matrix import bits
 from coplaces.ptnet import explore_reachable
 from coplaces.reductions import reduce_net
 from coplaces.tfg import (_EQ_LINE, Configuration, ConstantNode, Equation,
-                          EquationSystem, build_tfg, check_configuration,
+                          EquationSystem, Group, build_tfg, check_configuration,
                           find_marked_root, parse_equation_system,
                           propagate_token, split_token, successors,
                           write_equation_system)
@@ -73,12 +74,25 @@ def test_equation_line_matches_the_lazy_pattern():
 
 def test_equation_line_with_long_inner_space_parses_in_linear_time():
     # the lazy pattern retried the trailing space at each step of the
-    # term: seconds at this length; the spaces stay inside the term
+    # term: seconds at this length; a term with inner space is refused
     term = "b" + " " * 20_000 + "c"
     start = time.perf_counter()
-    (eq,) = parse_equation_system(f"# R |- a = {term}\n")
+    with pytest.raises(EquationSyntaxError) as err:
+        parse_equation_system(f"// x\n# R |- a = {term}\n")
     assert time.perf_counter() - start < 0.5
-    assert eq == Equation("R", "a", (term,))
+    assert str(err.value) == ("equation syntax error at line 2:"
+                              " bad term of 20002 characters")
+
+
+@pytest.mark.parametrize("rhs", ["a c", "a + b c", "a\tc + b", "a\xa0c",
+                                 "a\u3000c", "1 0", " + a"])
+def test_term_that_split_would_cut_is_refused(rhs):
+    with pytest.raises(EquationSyntaxError) as err:
+        parse_equation_system(f"# R |- b = {rhs}\n")
+    assert err.value.line == 1
+    # the words themselves parse
+    for word in rhs.replace("+", " ").split():
+        parse_equation_system(f"# R |- b = {word}\n")
 
 
 def test_parse_skips_comments_and_round_trips(fig_equations, fixture_path):
@@ -200,6 +214,162 @@ def test_cones_match_stack_closure(tfg_corpus, safe_net_corpus):
         for v, cone in zip(tfg.nodes, tfg.cones):
             assert {tfg.nodes[i] for i in bits(cone)} == reference[v]
             assert successors(tfg, v) == reference[v]
+
+
+def _reference_build_tfg(system, p1, p2):
+    """`build_tfg` while it walked arcs by node through an `out_children`
+    closure: Kahn's algorithm over an in-degree dict, the cones and W5 each
+    concatenating a node's children again, T1 as a sorted scan."""
+    p1, p2 = tuple(p1), tuple(p2)
+    p1_set, p2_set = set(p1), set(p2)
+    if len(p1_set) != len(p1) or len(p2_set) != len(p2):
+        raise ValueError("duplicate place in p1 or p2")
+    groups, a_heads, removed = [], set(), set()
+    for i, eq in enumerate(system):
+        head = (ConstantNode(eq.defined, i) if isinstance(eq.defined, int)
+                else eq.defined)
+        members = tuple(ConstantNode(t, i) if isinstance(t, int) else t
+                        for t in eq.parts)
+        if isinstance(head, str) and head in eq.parts:
+            raise WellFormednessError("T4", [head],
+                                      "node defined in terms of itself")
+        if eq.tag == "A":
+            if isinstance(head, str):
+                if head in a_heads:
+                    raise WellFormednessError(
+                        "T4", [head],
+                        "two agglomeration equations share a defined node")
+                a_heads.add(head)
+            targets = members
+        else:
+            targets = (head,)
+        for target in targets:
+            if isinstance(target, ConstantNode):
+                raise WellFormednessError("T2", [target],
+                                          "a constant node is an arc target")
+            removed.add(target)
+        groups.append(Group(eq.tag, head, members))
+    for name in sorted(system.variables):
+        if name not in p1_set and name not in p2_set and name not in a_heads:
+            raise WellFormednessError("T1", [name],
+                                      "name is not a place and never inserted")
+    nodes = list(p1) + [p for p in p2 if p not in p1_set]
+    seen = set(nodes)
+    for group in groups:
+        for node in (group.head, *group.members):
+            if node not in seen:
+                seen.add(node)
+                nodes.append(node)
+    index = {node: i for i, node in enumerate(nodes)}
+    a_group_of, r_targets_of, head_groups_of = {}, {}, {}
+    for group in groups:
+        head_groups_of.setdefault(group.head, []).append(group)
+        if group.tag == "A":
+            a_group_of[group.head] = group.members
+        else:
+            for member in group.members:
+                r_targets_of.setdefault(member, []).append(group.head)
+    r_targets_of = {v: tuple(ts) for v, ts in r_targets_of.items()}
+
+    def out_children(v):
+        return a_group_of.get(v, ()) + r_targets_of.get(v, ())
+
+    indeg = {v: 0 for v in nodes}
+    for v in nodes:
+        for w in out_children(v):
+            indeg[w] += 1
+    ready = [index[v] for v in nodes if indeg[v] == 0]
+    heapq.heapify(ready)
+    topo = []
+    while ready:
+        v = nodes[heapq.heappop(ready)]
+        topo.append(v)
+        for w in out_children(v):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, index[w])
+    if len(topo) != len(nodes):
+        raise WellFormednessError("Cycle", [v for v in nodes if indeg[v] > 0])
+    cones = [0] * len(nodes)
+    for v in reversed(topo):
+        cone = 1 << index[v]
+        for w in out_children(v):
+            cone |= cones[index[w]]
+        cones[index[v]] = cone
+    warnings = [f"leaf node '{v}' is not a place of the initial net (W5)"
+                for v in nodes
+                if not out_children(v) and isinstance(v, str) and v not in p1_set]
+    return dict(nodes=tuple(nodes), index=index, groups=tuple(groups),
+                roots=tuple(v for v in nodes if v not in removed),
+                topo=tuple(topo), cones=tuple(cones), warnings=tuple(warnings),
+                a_group_of=a_group_of, r_targets_of=r_targets_of,
+                head_groups_of={v: tuple(gs) for v, gs in head_groups_of.items()})
+
+
+def _broken(rng, system, p1, p2):
+    """`system` and its places, perhaps with a stray name (T1), a constant
+    arc target (T2), a self-defined node or a second agglomeration of one
+    head (T4), or a cycle."""
+    equations = list(system)
+    names = sorted(system.variables) or ["n0"]
+    kind = rng.randrange(6)
+    if kind == 0:
+        drop = set(rng.sample(names, min(len(names), rng.randint(1, 3))))
+        p1 = [p for p in p1 if p not in drop]
+        p2 = [p for p in p2 if p not in drop]
+    elif kind == 1:
+        equations.insert(rng.randrange(len(equations) + 1), rng.choice(
+            [Equation("R", rng.randint(0, 1), (rng.choice(names),)),
+             Equation("A", rng.choice(names), (rng.randint(0, 1),))]))
+    elif kind == 2:
+        name = rng.choice(names)
+        equations.append(Equation(rng.choice("RA"), name,
+                                  (name, rng.choice(names))))
+    elif kind == 3:
+        a_heads = [eq.defined for eq in equations if eq.tag == "A"]
+        head = rng.choice(a_heads or names)
+        equations.append(Equation("A", head, ("x1", "x2")))
+        p1 = [*p1, "x1", "x2"]
+    elif kind == 4:
+        # a back arc from a node to one of its ancestors
+        a, b = rng.sample(names, 2) if len(names) > 1 else (names[0], "y")
+        equations.append(Equation("R", a, (b,)))
+        equations.append(Equation("R", b, (a,)))
+    try:
+        return EquationSystem(equations), p1, p2
+    except DuplicateRemoval:
+        return system, p1, p2
+
+
+def _fields(tfg):
+    return {name: getattr(tfg, name) for name in tfg.__slots__}
+
+
+def test_build_tfg_matches_the_closure_walk(system_corpus, safe_net_corpus):
+    rng = random.Random(31)
+    cases = [_broken(rng, *case) for case in system_corpus(41, 1500)]
+    cases += system_corpus(43, 300)
+    for doc in safe_net_corpus(2024, 200):
+        result = reduce_net(doc)
+        cases.append((result.equations, doc.net.places,
+                      result.residual.net.places))
+    outcomes = set()
+    for system, p1, p2 in cases:
+        try:
+            expected = _reference_build_tfg(system, p1, p2)
+        except WellFormednessError as err:
+            with pytest.raises(WellFormednessError) as got:
+                build_tfg(system, p1, p2)
+            assert (str(got.value), got.value.condition, got.value.nodes) \
+                == (str(err), err.condition, err.nodes)
+            outcomes.add(err.condition)
+            continue
+        fields = _fields(build_tfg(system, p1, p2))
+        assert fields == expected
+        assert [list(fields[name]) for name in expected] \
+            == [list(value) for value in expected.values()]
+        outcomes.add("ok")
+    assert outcomes == {"ok", "T1", "T2", "T4", "Cycle"}
 
 
 # -- configurations ----------------------------------------------------------
