@@ -22,25 +22,23 @@ everywhere downstream.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 
 from .errors import (DuplicateId, InputFormatError, MalformedNet,
                      NetSyntaxError, UnknownPlace, UnsupportedNet,
                      UnwritableName, shown)
-from .matrix import parse_count, writable_name
+from .matrix import Record, parse_count, writable_name
 from .ptnet import PetriNet
 
 
-@dataclass
-class NetDocument:
+class NetDocument(Record):
     """A net together with its initial marking, a total dict of counts."""
 
-    net: PetriNet
-    initial: dict[str, int]
+    __slots__ = ("net", "initial")
 
-    def __post_init__(self):
-        if set(self.initial) != set(self.net.places):
+    def __init__(self, net: PetriNet, initial: dict[str, int]):
+        self.net = net
+        self.initial = initial
+        if set(initial) != set(net.places):
             raise ValueError("initial marking domain differs from net places")
 
 
@@ -250,6 +248,9 @@ def parse_pnml(data) -> NetDocument:
     outside the plain P/T subset (multiple pages, arc types other than
     normal, colored annotations), naming the offending element.
     """
+    # imported here, not at the top: text-net commands never parse XML
+    import xml.etree.ElementTree as ET
+
     if hasattr(data, "read"):
         data = data.read()
     reader = _NetReader()
@@ -374,7 +375,7 @@ def load_net(path) -> NetDocument:
     """Load a net file, sniffing PNML versus the textual format."""
     with open(path, "rb") as handle:
         data = handle.read()
-    head = data.lstrip()[:6]
-    if head.startswith(b"<"):
+    # the XML parser reads a UTF-8 byte-order mark; the text formats do not
+    if data.removeprefix(b"\xef\xbb\xbf").lstrip().startswith(b"<"):
         return parse_pnml(data)
     return parse_net_text(_decode(data, path))

@@ -7,7 +7,7 @@ transition: every live root floods its successor cone, each redundancy arc
 under a live node relates the cone accumulated so far with the arc's cone,
 and each node's row in the cone of a live root v takes the cones of the
 roots concurrent with v. Restricted to the initial places, it is exact.
-The cones are masks that `build_tfg` computes once per graph
+The cones are masks that the graph computes once, at their first read
 (`TokenFlowGraph.cones`), so flooding is an OR of the live roots' cones.
 
 The root relation comes from a matrix file or from exploring the residual
@@ -55,24 +55,25 @@ member gives A3.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (IncompleteRootRelation, InvalidRootRelation, NotSafe,
                      shown, shown_nodes)
 from .formats import NetDocument
-from .matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument, bits,
-                     reorder, transpose)
+from .matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument, Record,
+                     bits, reorder, transpose)
 from .ptnet import (DEFAULT_STATE_CAP, DEFAULT_TIME_BUDGET,
                     independent_parts, oracle_matrix)
 from .tfg import ConstantNode, Group, TokenFlowGraph
 
 
-@dataclass
-class PropagationStats:
+class PropagationStats(Record):
     """Instrumentation for the complexity contract of the complete mode."""
 
-    body_runs: int = 0
+    __slots__ = ("body_runs",)
+
+    def __init__(self, body_runs: int = 0):
+        self.body_runs = body_runs
 
 
 class RootRelation:

@@ -29,7 +29,6 @@ row is what tells the reader that a file is run-length encoded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
@@ -64,6 +63,27 @@ def writable_name(name: str) -> bool:
     """
     return (bool(name) and not _NOT_IN_NAMES.search(name)
             and name != "->" and not name.isdigit())
+
+
+class Record:
+    """Equality and repr over `__slots__`, as a dataclass gives them, for
+    the mutable result classes: importing `dataclasses` would load
+    `inspect` at every start-up."""
+
+    __slots__ = ()
+
+    def _items(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._items() == other._items()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._items()))
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -235,16 +255,16 @@ class ConcurrencyMatrix:
                 f"/{self.size * (self.size + 1) // 2} defined)")
 
 
-@dataclass
-class MatrixDocument:
+class MatrixDocument(Record):
     """A concurrency matrix bound to its node-name order and encoding."""
 
-    order: tuple[str, ...]
-    matrix: ConcurrencyMatrix
-    encoding: str = "plain"
+    __slots__ = ("order", "matrix", "encoding")
 
-    def __post_init__(self):
-        self.order = tuple(self.order)
+    def __init__(self, order: Iterable[str], matrix: ConcurrencyMatrix,
+                 encoding: str = "plain"):
+        self.order = tuple(order)
+        self.matrix = matrix
+        self.encoding = encoding
         if self.order != self.matrix.order:
             raise ValueError("document order differs from matrix order")
         if any(not isinstance(name, str) for name in self.order):
@@ -374,13 +394,20 @@ def filling_ratio(matrix: ConcurrencyMatrix) -> float:
     return 2 * matrix.defined_count() / (n * n + n)
 
 
-@dataclass
-class ComparisonReport:
-    """Outcome of comparing two matrix documents over one node order."""
+class ComparisonReport(Record):
+    """Outcome of comparing two matrix documents over one node order.
 
-    kind: str                                  # equal | compatible | contradiction
-    resolved: int = 0                          # cells decided on one side only
-    cells: list[tuple[int, int]] = field(default_factory=list)
+    `kind` is equal, compatible or contradiction; `resolved` counts the
+    cells decided on one side only, and `cells` lists the contradictions.
+    """
+
+    __slots__ = ("kind", "resolved", "cells")
+
+    def __init__(self, kind: str, resolved: int = 0,
+                 cells: list[tuple[int, int]] | None = None):
+        self.kind = kind
+        self.resolved = resolved
+        self.cells = [] if cells is None else cells
 
     def __str__(self) -> str:
         if self.kind == "equal":

@@ -36,20 +36,20 @@ plugged in front.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import BudgetExhausted
 from .formats import NetDocument
 from .ptnet import PetriNet
 from .tfg import Equation, EquationSystem
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class ReductionResult:
+
+class ReductionResult(NamedTuple):
     """Everything a reduction run leaves behind.
 
     `ratio` is the fraction of original places that were removed; 1 means
@@ -64,6 +64,9 @@ class ReductionResult:
 
 
 def _ratio(p1: tuple[str, ...], p2: tuple[str, ...]) -> Fraction:
+    # imported here: `fractions` loads `decimal`, and only `reduce` needs it
+    from fractions import Fraction
+
     if not p1:
         # nothing to remove: an empty net is trivially fully reduced
         return Fraction(1)

@@ -36,9 +36,8 @@ lines skipped::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import (BadConstant, BadShareSum, DuplicateRemoval,
                      EquationSyntaxError, IllDefinedInput, NoTokenAt,
@@ -47,8 +46,7 @@ from .errors import (BadConstant, BadShareSum, DuplicateRemoval,
 from .matrix import bits, parse_count, writable_name
 
 
-@dataclass(frozen=True)
-class ConstantNode:
+class ConstantNode(NamedTuple):
     """A root node carrying the fixed value 0 or 1.
 
     Each constant literal in the equation system gets its own node;
@@ -69,33 +67,36 @@ Node = Union[str, ConstantNode]
 Term = Union[str, int]
 
 
-@dataclass(frozen=True)
-class Equation:
+class _EquationFields(NamedTuple):
+    tag: str
+    defined: Term
+    parts: tuple[Term, ...]
+
+
+class Equation(_EquationFields):
     """One tagged reduction equation ``defined = sum(parts)``.
 
     At most one side may be a constant literal, and constants are
     restricted to 0 and 1.
     """
 
-    tag: str
-    defined: Term
-    parts: tuple[Term, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in ("R", "A"):
-            raise ValueError(f"bad equation tag {self.tag!r}")
-        if not self.parts:
+    # a `NamedTuple` class body may not define `__new__`, hence the base
+    def __new__(cls, tag: str, defined: Term, parts: tuple[Term, ...]):
+        if tag not in ("R", "A"):
+            raise ValueError(f"bad equation tag {tag!r}")
+        if not parts:
             raise ValueError("equation with an empty right-hand side")
-        constants = [term for term in (self.defined, *self.parts)
-                     if isinstance(term, int)]
-        if not constants:
-            return
-        for value in constants:
-            if value not in (0, 1):
-                raise BadConstant(value)
-        part_consts = [t for t in self.parts if isinstance(t, int)]
-        if part_consts and (len(self.parts) > 1 or isinstance(self.defined, int)):
-            raise ValueError("at most one side of an equation may be constant")
+        constants = [term for term in (defined, *parts) if isinstance(term, int)]
+        if constants:
+            for value in constants:
+                if value not in (0, 1):
+                    raise BadConstant(value)
+            part_consts = [t for t in parts if isinstance(t, int)]
+            if part_consts and (len(parts) > 1 or isinstance(defined, int)):
+                raise ValueError("at most one side of an equation may be constant")
+        return super().__new__(cls, tag, defined, parts)
 
     def removed(self) -> tuple[Term, ...]:
         """The nodes this equation removes from the net."""
@@ -195,8 +196,7 @@ def write_equation_system(system: EquationSystem) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     """One equation materialized over graph nodes."""
 
     tag: str
@@ -211,15 +211,33 @@ class TokenFlowGraph:
     successor set of ``nodes[i]`` (itself included) as a mask over `nodes`.
     """
 
-    __slots__ = ("nodes", "index", "groups", "roots", "topo", "cones",
-                 "warnings", "a_group_of", "r_targets_of", "head_groups_of")
+    __slots__ = ("nodes", "index", "groups", "roots", "topo", "warnings",
+                 "a_group_of", "r_targets_of", "head_groups_of", "_children",
+                 "_cones")
 
     def __init__(self, **fields):
         for key, value in fields.items():
             object.__setattr__(self, key, value)
+        object.__setattr__(self, "_cones", None)
 
     def __setattr__(self, key, value):
         raise AttributeError("token flow graphs are immutable")
+
+    @property
+    def cones(self) -> tuple[int, ...]:
+        """The cone masks, built at the first read: they take space
+        quadratic in a chain's length, and `check-tfg` never reads them."""
+        if self._cones is None:
+            # each node's cone is itself and its children's cones, children first
+            children, index = self._children, self.index
+            cones = [0] * len(children)
+            for v in map(index.__getitem__, reversed(self.topo)):
+                cone = 1 << v
+                for w in children[v]:
+                    cone |= cones[w]
+                cones[v] = cone
+            object.__setattr__(self, "_cones", tuple(cones))
+        return self._cones
 
     def out_children(self, v: Node) -> tuple[Node, ...]:
         """Arc targets of v: agglomeration children, then redundancy targets."""
@@ -311,7 +329,7 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
     r_targets_of = {v: tuple(ts) for v, ts in r_targets_of.items()}
 
     # the arc targets of each node, by index: agglomeration children, then
-    # redundancy targets; Kahn's algorithm, the cones and W5 all read them
+    # redundancy targets; Kahn's algorithm, W5 and the cones all read them
     children: list[tuple[int, ...]] = [()] * len(nodes)
     for arcs in (a_group_of, r_targets_of):
         for v, targets in arcs.items():
@@ -336,14 +354,6 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
     if len(topo) != len(nodes):
         raise WellFormednessError("Cycle", [v for v, d in zip(nodes, indeg) if d])
 
-    # each node's cone is itself and its children's cones, children first
-    cones = [0] * len(nodes)
-    for v in reversed(topo):
-        cone = 1 << v
-        for w in children[v]:
-            cone |= cones[w]
-        cones[v] = cone
-
     # a node is an arc target exactly when some group removes it
     roots = tuple(v for v in nodes if v not in removed)
 
@@ -353,9 +363,9 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
 
     return TokenFlowGraph(
         nodes=tuple(nodes), index=index, groups=tuple(groups), roots=roots,
-        topo=tuple(map(nodes.__getitem__, topo)), cones=tuple(cones),
-        warnings=warnings, a_group_of=a_group_of, r_targets_of=r_targets_of,
-        head_groups_of=head_groups_of,
+        topo=tuple(map(nodes.__getitem__, topo)), warnings=warnings,
+        a_group_of=a_group_of, r_targets_of=r_targets_of,
+        head_groups_of=head_groups_of, _children=children,
     )
 
 
@@ -397,8 +407,7 @@ class Configuration:
         return "Configuration({" + inner + "})"
 
 
-@dataclass(frozen=True)
-class ConfigVerdict:
+class ConfigVerdict(NamedTuple):
     """Outcome of a well-definedness check."""
 
     ok: bool

@@ -1,5 +1,6 @@
 """End-to-end command line behaviour and exit codes."""
 
+import functools
 import io
 import os
 import random
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -141,22 +143,122 @@ def test_check_tfg_refuses_a_term_with_inner_space(tmp_path, capsys,
                    " bad term 'p4 p3'\n")
 
 
-def _python_310():
-    """An interpreter that reports Python 3.10, or None."""
+def _check_tfg_peak(tmp_path, n):
+    """The tracemalloc peak of `check-tfg` on a chain of `n` R equations,
+    whose cones would take space quadratic in `n`."""
+    names = [f"p{i}" for i in range(n + 1)]
+    files = [tmp_path / name for name in ("chain.net", "root.net", "chain.eq")]
+    files[0].write_text("".join(f"pl {v}\n" for v in names))
+    files[1].write_text("pl p0\n")
+    files[2].write_text("".join(f"# R |- {v} = {u}\n"
+                                for u, v in zip(names, names[1:])))
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert dispatch(["check-tfg", *map(str, files)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_check_tfg_memory_grows_linearly_with_a_chain(tmp_path):
+    # with every cone built, doubling this chain triples the peak (2.9x)
+    small, large = (_check_tfg_peak(tmp_path, n) for n in (8_000, 16_000))
+    assert large < 2.4 * small
+
+
+@functools.cache
+def _other_pythons():
+    """Interpreters of Python 3.10 or later other than this one's version,
+    one per version, found on the path or among pyenv's versions."""
     candidates = [shutil.which("python3.10")]
     root = os.environ.get("PYENV_ROOT")
     if root is None and shutil.which("pyenv"):
         root = subprocess.run(["pyenv", "root"], capture_output=True,
                               text=True).stdout.strip()
     if root:
-        candidates += sorted(map(str, Path(root).glob("versions/3.10*/bin/python3")))
+        candidates += sorted(map(str, Path(root).glob("versions/3.1[0-9]*/bin/python3")))
+    found = {}
     for candidate in filter(None, candidates):
         probe = subprocess.run([candidate, "-c", "import sys;"
-                                " print(sys.version_info[:2] == (3, 10))"],
+                                " print(*sys.version_info[:2])"],
                                capture_output=True, text=True)
-        if probe.stdout.strip() == "True":
-            return candidate
-    return None
+        version = tuple(map(int, probe.stdout.split()))
+        if version >= (3, 10) and version != sys.version_info[:2]:
+            found.setdefault(version, candidate)
+    return found
+
+
+def _python_310():
+    """An interpreter that reports Python 3.10, or None."""
+    return _other_pythons().get((3, 10))
+
+
+# what `import coplaces.cli` must not load: `dataclasses` (with `inspect`)
+# nowhere, XML until a PNML is read, `fractions` (with `decimal`) until a
+# reduction ratio is taken
+_STARTUP = """
+import sys
+from pathlib import Path
+def loaded():
+    heavy = ("dataclasses", "inspect", "fractions", "decimal",
+             "xml.etree.ElementTree")
+    print(*[name for name in heavy if name in sys.modules], sep=",")
+import coplaces.cli
+loaded()
+from coplaces.formats import parse_pnml
+doc = parse_pnml(Path(sys.argv[1]).read_bytes())
+loaded()
+from coplaces.reductions import reduce_net
+reduce_net(doc)
+loaded()
+"""
+
+
+def _startup_modules(python, tmp_path):
+    """The heavy modules `python` holds after importing the command line,
+    after reading a PNML, and after reducing it."""
+    net = tmp_path / "fork.pnml"
+    net.write_text(_irreducible_fork("p0", "p3"), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(coplaces.__file__).parents[1])}
+    ran = subprocess.run([python, "-S", "-c", _STARTUP, str(net)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert ran.returncode == 0, ran.stderr
+    return [set(filter(None, line.split(","))) for line in ran.stdout.splitlines()]
+
+
+def _expect_light_startup(stages):
+    at_import, after_pnml, after_reduce = stages
+    assert at_import == set()
+    assert after_pnml == {"xml.etree.ElementTree"}
+    assert "fractions" in after_reduce
+    assert not after_reduce & {"dataclasses", "inspect"}
+
+
+def test_import_loads_no_dataclasses_xml_or_fractions(tmp_path):
+    _expect_light_startup(_startup_modules(sys.executable, tmp_path))
+
+
+def test_other_pythons_start_light_and_write_the_same_matrix(tmp_path,
+                                                             capsys,
+                                                             fixture_path):
+    pythons = _other_pythons()
+    if not pythons:
+        pytest.skip("no other Python 3.10+ interpreter")
+    m1, m2 = fixture_path("m1"), fixture_path("m2")
+    argv = ["matrix", f"{m1}.net", "--equations", f"{m1}.eq",
+            "--reduced", f"{m2}.net", "--oracle"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(coplaces.__file__).parents[1])}
+    for version, python in sorted(pythons.items()):
+        _expect_light_startup(_startup_modules(python, tmp_path))
+        ran = subprocess.run([python, "-m", "coplaces", *argv], env=env,
+                             capture_output=True, timeout=120)
+        assert ran.returncode == 0, (version, ran.stderr)
+        assert ran.stdout == expected.encode(), version
 
 
 def test_matrix_is_the_same_under_python_310(tmp_path, monkeypatch,
@@ -328,6 +430,23 @@ def test_pnml_arc_id_repeating_another_id_is_refused(tmp_path, capsys, arc_id):
     code, stdout, err = run(capsys, "oracle", str(net))
     assert code == 2 and stdout == ""
     assert f"duplicate id '{arc_id}'" in err
+
+
+def test_pnml_after_a_byte_order_mark_is_read_as_pnml(tmp_path, capsys,
+                                                     fixture_path):
+    plain, marked = tmp_path / "plain.pnml", tmp_path / "marked.pnml"
+    text = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+            + _irreducible_fork("p0", "p3"))
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    code, expected, _ = run(capsys, "oracle", str(plain))
+    assert code == 0
+    assert run(capsys, "oracle", str(marked)) == (0, expected, "")
+    # the text formats keep refusing the mark
+    net = tmp_path / "marked.net"
+    net.write_bytes(b"\xef\xbb\xbf" + Path(fixture_path("m1.net")).read_bytes())
+    code, _, err = run(capsys, "oracle", str(net))
+    assert code == 2 and "line 1, column 1" in err
 
 
 def test_long_constant_message_is_bounded(tmp_path, capsys, fixture_path):
