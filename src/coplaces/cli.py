@@ -8,6 +8,7 @@ computes the ground truth, `compare` diffs two matrix files and
 
 Exit codes: 0 success, 1 usage, 2 unreadable input, 3 well-formedness or
 safety violation, 4 matrix contradiction, 5 timeout without usable output.
+An error's code is the `exit_code` of its family in `errors.py`.
 Diagnostics go to standard error; results go to standard output or to the
 requested file, written atomically.
 """
@@ -22,8 +23,7 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .errors import (AnalysisError, BudgetExhausted, CoplacesError,
-                     InputFormatError, IncompleteRootRelation)
+from .errors import BudgetExhausted, CoplacesError, IncompleteRootRelation
 from .formats import load_net, read_text, write_net_text
 from .kernel import RootRelation, matrix_complete, matrix_partial
 from .matrix import (MatrixDocument, compare_matrices, read_matrix,
@@ -34,10 +34,7 @@ from .tfg import build_tfg, parse_equation_system, write_equation_system
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_FORMAT = 2
-EXIT_ANALYSIS = 3
 EXIT_CONTRADICTION = 4
-EXIT_TIMEOUT = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,9 +66,12 @@ def _write_output(text: str, output: str | None) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            # name the target alone: the temp file's name is random
+            raise OSError(exc.errno, exc.strerror, output) from exc
         raise
 
 
@@ -254,9 +254,6 @@ def dispatch(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exit_:
-        return int(exit_.code or 0)
-    try:
         if args.command == "matrix":
             if args.equations and not args.reduced:
                 parser.error("--equations requires --reduced")
@@ -267,18 +264,9 @@ def dispatch(argv=None) -> int:
         return args.func(args)
     except SystemExit as exit_:
         return int(exit_.code or 0)
-    except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
     except (ValueError, OSError, CoplacesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return getattr(exc, "exit_code", EXIT_USAGE)
 
 
 def main() -> None:

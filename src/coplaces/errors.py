@@ -4,6 +4,7 @@ Two broad families matter to the command line front end: input files that
 cannot be decoded (`InputFormatError`) and inputs that decode fine but
 violate a semantic requirement such as safeness or graph well-formedness
 (`AnalysisError`). Everything else derives from `CoplacesError` directly.
+Each family's `exit_code` is the command line's exit status for its errors.
 """
 
 from __future__ import annotations
@@ -42,17 +43,25 @@ def shown_nodes(nodes) -> str:
 class CoplacesError(Exception):
     """Base class of every error raised by this package."""
 
+    exit_code = 1
+
 
 class InputFormatError(CoplacesError):
     """A net, equation system or matrix file could not be decoded."""
+
+    exit_code = 2
 
 
 class AnalysisError(CoplacesError):
     """Input decodes but violates a semantic requirement of the analysis."""
 
+    exit_code = 3
+
 
 class BudgetExhausted(CoplacesError):
     """The state cap or the time budget ran out with nothing to output."""
+
+    exit_code = 5
 
 
 # -- Petri net semantics -----------------------------------------------------

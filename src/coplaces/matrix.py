@@ -240,9 +240,7 @@ class ConcurrencyMatrix:
         return sub
 
     def copy(self) -> "ConcurrencyMatrix":
-        dup = ConcurrencyMatrix(self.order, fill=UNDECIDED)
-        dup._ones, dup._zeros = list(self._ones), list(self._zeros)
-        return dup
+        return self.restrict(self.order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConcurrencyMatrix):

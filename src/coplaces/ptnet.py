@@ -218,13 +218,11 @@ def explore_reachable(net: PetriNet, m0: Mapping[str, int],
             new = mask & ~pre_mask
             for i, w in post_items:
                 if w >= 2 or new >> i & 1:
-                    # two tokens would land in place i: rebuild the exact
-                    # successor marking as unsafety evidence
-                    witness = net.make_marking({
-                        p: (mask >> net.place_index(p) & 1)
-                        - net.pre[t].get(p, 0) + net.post[t].get(p, 0)
-                        for p in net.places})
-                    raise NotSafe(witness)
+                    # two tokens would land in place i: the successor
+                    # marking is the unsafety evidence
+                    marking = {p: mask >> j & 1
+                               for j, p in enumerate(net.places)}
+                    raise NotSafe(fire_transition(net, marking, t))
                 new |= 1 << i
             if new not in seen:
                 if len(masks) >= cap:

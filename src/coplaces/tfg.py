@@ -483,8 +483,6 @@ def _rebalance(tfg: TokenFlowGraph, c: Configuration,
         else:
             continue
         for member, value in assignment.items():
-            if member in pins:
-                continue
             if vals.get(member) != value:
                 vals[member] = value
                 dirty.add(member)

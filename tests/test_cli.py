@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coplaces
-from coplaces import cli
+from coplaces import cli, errors
 from coplaces.cli import dispatch
 from coplaces.errors import NotSafe
 from coplaces.formats import NetDocument, load_net, write_net_text
@@ -247,18 +247,27 @@ def test_other_pythons_start_light_and_write_the_same_matrix(tmp_path,
     if not pythons:
         pytest.skip("no other Python 3.10+ interpreter")
     m1, m2 = fixture_path("m1"), fixture_path("m2")
-    argv = ["matrix", f"{m1}.net", "--equations", f"{m1}.eq",
-            "--reduced", f"{m2}.net", "--oracle"]
-    code, expected, _ = run(capsys, *argv)
-    assert code == 0
+    (tmp_path / "bad.net").write_text("pl a one\n")
+    (tmp_path / "unsafe.net").write_text("pl a\ntr t : -> a\n")
+    # one command per exit code: 0, 2, 3, 5, 1
+    commands = [["matrix", f"{m1}.net", "--equations", f"{m1}.eq",
+                 "--reduced", f"{m2}.net", "--oracle"],
+                ["oracle", str(tmp_path / "bad.net")],
+                ["oracle", str(tmp_path / "unsafe.net")],
+                ["matrix", f"{m1}.net", "--cap", "2"],
+                ["oracle", str(tmp_path / "missing.net")]]
+    expected = [run(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in expected] == [0, 2, 3, 5, 1]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(Path(coplaces.__file__).parents[1])}
     for version, python in sorted(pythons.items()):
         _expect_light_startup(_startup_modules(python, tmp_path))
-        ran = subprocess.run([python, "-m", "coplaces", *argv], env=env,
-                             capture_output=True, timeout=120)
-        assert ran.returncode == 0, (version, ran.stderr)
-        assert ran.stdout == expected.encode(), version
+        for argv, (code, stdout, stderr) in zip(commands, expected):
+            ran = subprocess.run([python, "-m", "coplaces", *argv], env=env,
+                                 capture_output=True, timeout=120)
+            assert ran.returncode == code, (version, argv, ran.stderr)
+            assert ran.stdout == stdout.encode(), (version, argv)
+            assert ran.stderr == stderr.encode(), (version, argv)
 
 
 def test_matrix_is_the_same_under_python_310(tmp_path, monkeypatch,
@@ -298,7 +307,7 @@ def test_compare_contradiction_exit_code(tmp_path, capsys):
     assert "contradiction" in stdout
 
 
-def test_exit_codes_for_bad_input(tmp_path, capsys):
+def test_exit_codes_for_bad_input(tmp_path, capsys, fixture_path):
     code, _, _ = run(capsys, "matrix")                       # usage
     assert code == 1
     code, _, _ = run(capsys, "matrix", "nope", "--equations")
@@ -315,6 +324,28 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
                    ("--timeout", "nan"), ("--cap", "0")):
         code, _, err = run(capsys, "oracle", str(unsafe), *budget)
         assert code == 1 and "not positive" in err
+    code, _, err = run(capsys, "oracle", str(tmp_path / "missing.net"))
+    assert code == 1 and err.startswith("error: [Errno 2] ")
+    m1 = fixture_path("m1")
+    for extra, message in [
+            (("--rel2", "F"), "--reduced/--rel2/--oracle require --equations"),
+            (("--equations", f"{m1}.eq", "--reduced", fixture_path("m2.net")),
+             "give the reduced relation via --rel2 or --oracle")]:
+        code, stdout, err = run(capsys, "matrix", f"{m1}.net", *extra)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("usage: coplaces")
+        assert err.endswith(f"coplaces: error: {message}\n")
+
+
+def test_every_error_class_exits_with_its_family_code():
+    families = [(errors.BudgetExhausted, 5), (errors.AnalysisError, 3),
+                (errors.InputFormatError, 2), (errors.CoplacesError, 1)]
+    classes = [value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, Exception)]
+    assert len(classes) > len(families)
+    for cls in classes:
+        family = next(code for base, code in families if issubclass(cls, base))
+        assert cls.exit_code == family, cls
 
 
 def test_one_parser_serves_every_dispatch(capsys, fixture_path):
@@ -601,6 +632,46 @@ def test_timeout_without_output(tmp_path, capsys, fixture_path):
                           "--cap", "2", "--partial")
     assert code == 0
     assert "." in stdout
+    code, oracle, err = run(capsys, "oracle", fixture_path("m1.net"),
+                            "--cap", "2")
+    assert (code, oracle) == (0, stdout)
+    assert err == "warning: exploration truncated, matrix is partial\n"
+
+
+_CHOICE = ("pl a 1\npl b\npl c\ntr t : a -> b\ntr u : a -> c\n"
+           "tr v : b -> a\ntr w : c -> a\n")
+
+
+def test_residual_timeout_exits_5_and_writes_nothing(tmp_path, capsys):
+    net = tmp_path / "choice.net"
+    net.write_text(_CHOICE)
+    out = tmp_path / "out"
+    assert run(capsys, "reduce", str(net), "-o", str(out))[:2] == (
+        0, "reduction ratio: 0/1\n")
+    assert (out / "choice.reduced.net").read_text() == _CHOICE
+    pipeline = ("matrix", str(net), "--equations", str(out / "choice.eq"),
+                "--reduced", str(out / "choice.reduced.net"), "--oracle",
+                "--cap", "2")
+    target = tmp_path / "choice.mat"
+    code, stdout, err = run(capsys, *pipeline, "-o", str(target))
+    assert (code, stdout) == (5, "")
+    assert "--partial" in err
+    assert not target.exists()
+    code, stdout, _ = run(capsys, *pipeline, "--partial")
+    assert code == 0 and "." in stdout
+
+
+def test_failed_write_names_only_the_target(tmp_path, capsys, fixture_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    runs = [run(capsys, "oracle", fixture_path("m1.net"), "-o", str(target))
+            for _ in range(2)]
+    assert [code for code, _, _ in runs] == [1, 1]
+    assert not list(tmp_path.glob(".taken.*"))
+    err = runs[0][2]
+    assert err == runs[1][2]
+    assert err.startswith("error: [Errno ")
+    assert err.endswith(f" {str(target)!r}\n")
 
 
 def test_reduce_timeout_exits_5_and_writes_nothing(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Matrix text format, filling ratio, and document comparison."""
 
+import copy
+import pickle
 import random
 import re
 import time
@@ -11,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from coplaces.errors import (BadHeader, BadSymbol, OrderMismatch,
                              RowLengthMismatch, shown)
-from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
-                             compare_matrices, filling_ratio, parse_count,
-                             read_matrix, write_matrix)
+from coplaces.kernel import PropagationStats
+from coplaces.matrix import (UNDECIDED, ComparisonReport, ConcurrencyMatrix,
+                             MatrixDocument, compare_matrices, filling_ratio,
+                             parse_count, read_matrix, write_matrix)
 from coplaces.matrix import _decode_row_rle, _encode_row_rle
 
 
@@ -341,3 +344,16 @@ def test_rle_read_cost_of_two_exclusive_groups():
     doc = read_matrix(text)
     assert time.perf_counter() - start < 0.5
     assert doc.matrix == matrix and doc.encoding == "rle"
+
+
+def test_records_copy_deepcopy_and_pickle_to_equal_objects(m1_doc):
+    matrix = _matrix(("a", "b"), ["1", "0."])
+    records = [m1_doc, MatrixDocument(("a", "b"), matrix, "rle"),
+               ComparisonReport("contradiction", 2, [(1, 0)]),
+               PropagationStats(7)]
+    for record in records:
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert twin is not record
+            assert type(twin) is type(record)
+            assert twin == record and repr(twin) == repr(record)

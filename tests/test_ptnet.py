@@ -1,5 +1,7 @@
 """Firing semantics, reachability exploration, and the oracle matrix."""
 
+import random
+
 import pytest
 
 from coplaces.errors import NotEnabled, NotSafe, UnknownTransition
@@ -199,3 +201,69 @@ def test_oracle_truncated_is_partial(seq2):
     assert C.value("a", "a") == 1              # witnessed
     assert C.value("b", "b") == UNDECIDED      # never seen
     assert C.value("a", "b") == UNDECIDED
+
+
+def test_double_weight_transition_never_fires():
+    doc = parse_net_text("pl p 1\npl q\ntr t : p*2 -> q\n")
+    assert explore_reachable(doc.net, doc.initial).masks == [0b01]
+    C = oracle_matrix(doc.net, doc.initial)
+    assert (C.value("q", "p"), C.value("q", "q")) == (0, 0)
+
+
+def test_spent_budget_keeps_the_initial_marking(seq2):
+    result = explore_reachable(seq2.net, seq2.initial, budget=-1)
+    assert result.truncated
+    assert result.markings == (seq2.initial,)
+
+
+def _reference_witness(net, m0):
+    """The first unsafe successor of the breadth-first walk over masks,
+    each place's count rebuilt by hand from the pre- and post-sets, or
+    None when the net is safe."""
+    masks = [sum(m0[p] << i for i, p in enumerate(net.places))]
+    seen = set(masks)
+    for mask in masks:
+        for t in net.transitions:
+            pre, post = net.pre[t], net.post[t]
+            if any(w >= 2 for w in pre.values()) or not all(
+                    mask >> net.place_index(p) & 1 for p in pre):
+                continue
+            successor = {p: (mask >> i & 1) - pre.get(p, 0) + post.get(p, 0)
+                         for i, p in enumerate(net.places)}
+            if any(n >= 2 for n in successor.values()):
+                return successor
+            new = sum(n << i for i, n in enumerate(successor.values()))
+            if new not in seen:
+                seen.add(new)
+                masks.append(new)
+    return None
+
+
+def _random_weighted_net(rng):
+    places = rng.sample("uvwxyz", rng.randint(1, 6))    # not sorted
+    transitions = [f"t{k}" for k in range(rng.randint(1, 6))]
+    pre = {t: {p: rng.choice((1, 1, 1, 2))
+               for p in rng.sample(places, rng.randint(0, min(2, len(places))))}
+           for t in transitions}
+    post = {t: {p: rng.choice((1, 1, 1, 2))
+                for p in rng.sample(places, rng.randint(0, min(2, len(places))))}
+            for t in transitions}
+    net = PetriNet(places, transitions, pre, post)
+    return net, {p: rng.randint(0, 1) for p in places}
+
+
+def test_unsafety_witness_matches_the_hand_built_successor():
+    rng = random.Random(24)
+    unsafe = 0
+    for _ in range(3000):
+        net, m0 = _random_weighted_net(rng)
+        reference = _reference_witness(net, m0)
+        if reference is None:
+            assert not explore_reachable(net, m0).truncated
+            continue
+        unsafe += 1
+        with pytest.raises(NotSafe) as err:
+            explore_reachable(net, m0)
+        assert list(err.value.witness.items()) == list(reference.items())
+        assert str(err.value) == str(NotSafe(reference))
+    assert unsafe >= 1000

@@ -394,6 +394,14 @@ def test_check_configuration_cbot_violation(fig_tfg):
     assert (verdict.ok, verdict.rule, verdict.node) == (False, "CBot", "p3")
 
 
+def test_check_configuration_cbot_at_an_undefined_head(fig_tfg):
+    # p5 = p4: the head undefined while its member p4 keeps a value
+    values = dict(FIG_CONFIG.values)
+    del values["p5"]
+    verdict = check_configuration(fig_tfg, Configuration(values))
+    assert (verdict.ok, verdict.rule, verdict.node) == (False, "CBot", "p5")
+
+
 def test_partial_configuration_is_well_defined(fig_tfg):
     # the whole a2 component undefined, p0 and p6 defined
     verdict = check_configuration(fig_tfg, Configuration({"p0": 0, "p6": 1}))
