@@ -1,6 +1,7 @@
 """End-to-end command line behaviour and exit codes."""
 
 import functools
+import hashlib
 import io
 import os
 import random
@@ -926,3 +927,69 @@ def test_renamed_places_change_only_the_names(tmp_path, capsys,
             assert original[0] == renamed[0] == 0
             assert original[2] == renamed[2] == ""
             assert _with_names(original[1], names) == renamed[1]
+
+
+def _golden_cli_commands(tmp_path, corpus):
+    """Each command of the CLI digest with the files it writes: m1/m2 and
+    the nets of `corpus`, all copied into `tmp_path`."""
+    rng = random.Random(47)
+    nets = []
+    for name in ("m1.net", "m1.eq", "m2.net"):
+        shutil.copy(_FIXTURES / name, tmp_path / name)
+    nets.append(("m1", tmp_path / "m1.eq", tmp_path / "m2.net"))
+    for k, doc in enumerate(corpus):
+        (tmp_path / f"n{k}.net").write_text(write_net_text(doc), encoding="utf-8")
+        out = tmp_path / f"out-n{k}"
+        nets.append((f"n{k}", out / f"n{k}.eq", out / f"n{k}.reduced.net"))
+    for stem, eq, reduced in nets:
+        net, out = str(tmp_path / f"{stem}.net"), tmp_path / f"out-{stem}"
+        yield (["reduce", net, "-o", str(out)],
+               [out / f"{stem}.reduced.net", out / f"{stem}.eq"])
+        yield ["check-tfg", net, str(reduced), str(eq)], []
+        yield ["oracle", net], []
+        relation = tmp_path / f"{stem}.rel.mat"
+        yield ["oracle", str(reduced), "-o", str(relation)], [relation]
+        pipeline = ["matrix", net, "--equations", str(eq), "--reduced",
+                    str(reduced)]
+        rle = tmp_path / f"{stem}.rle.mat"
+        for flags, written in (((), []), (("--rle", "-o", str(rle)), [rle]),
+                               (("--cap", "2"), []),
+                               (("--cap", "2", "--partial"), [])):
+            yield [*pipeline, "--oracle", *flags], written
+        cells = read_matrix(relation.read_text(encoding="utf-8")).matrix
+        for i in range(cells.size):
+            for j in range(i + 1):
+                if rng.random() < 0.5:
+                    cells.set_at(i, j, UNDECIDED)
+        blanked = tmp_path / f"{stem}.blank.mat"
+        blanked.write_text(write_matrix(MatrixDocument(cells.order, cells)),
+                           encoding="utf-8")
+        for flags in ((), ("--partial",)):
+            yield [*pipeline, "--rel2", str(blanked), *flags], []
+
+
+# sha256 over the argv, exit code, stdout, stderr and written files of the
+# commands above, pinned before `_cmd_matrix` lost its three tails; the
+# inputs are the tests' own, so re-sizing the benchmark's nets leaves it
+GOLDEN_CLI_DIGEST = (
+    "2d88e60668572980f851445fe89ee8be4773eafa9e8f3ab83ec0eb849985dda5")
+
+
+def test_golden_cli_digest(tmp_path, capsys, safe_net_corpus):
+    digest = hashlib.sha256()
+
+    def feed(text):
+        digest.update(text.replace(str(tmp_path), "TMP").encode("utf-8") + b"\0")
+
+    codes = set()
+    for argv, written in _golden_cli_commands(tmp_path,
+                                              safe_net_corpus(43, 40)):
+        code, stdout, stderr = run(capsys, *argv)
+        codes.add(code)
+        for text in (*argv, str(code), stdout, stderr):
+            feed(text)
+        for path in written:
+            feed(hashlib.sha256(path.read_bytes()).hexdigest()
+                 if path.exists() else "absent")
+    assert codes == {0, 3, 5}
+    assert digest.hexdigest() == GOLDEN_CLI_DIGEST
