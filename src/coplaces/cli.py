@@ -2,8 +2,8 @@
 
 Subcommands wire the pipeline together: `reduce` produces a residual net
 plus its equation file, `matrix` rebuilds the concurrency matrix of the
-initial net from those (or falls back to plain exploration), `oracle`
-computes the ground truth, `compare` diffs two matrix files and
+initial net from those (without them, the net is its own residual),
+`oracle` computes the ground truth, `compare` diffs two matrix files and
 `check-tfg` validates an equation file against two nets.
 
 Exit codes: 0 success, 1 usage, 2 unreadable input, 3 well-formedness or
@@ -19,7 +19,6 @@ import argparse
 import functools
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -59,6 +58,9 @@ def _write_output(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
         return
+    # imported here: `tempfile` loads `random` and `shutil`, and only a
+    # written file needs it
+    import tempfile
     target = Path(output)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
@@ -98,46 +100,46 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _cmd_matrix(args) -> int:
-    doc1 = load_net(args.net1)
-
-    if not args.equations:
-        matrix = oracle_matrix(doc1.net, doc1.initial, cap=args.cap,
-                               budget=args.timeout)
-        if not matrix.complete and not args.partial:
-            raise BudgetExhausted(
-                "exploration hit the cap or the time budget; rerun with"
-                " --partial for a sound partial matrix")
-        _write_output(_matrix_text(matrix, doc1.net.places, args.encoding),
-                      args.output)
-        return EXIT_OK
-
-    doc2 = load_net(args.reduced)
-    system = parse_equation_system(read_text(args.equations))
+def _load_graph(doc1, net2: str, eqs: str):
+    """Net 2 and the token flow graph of the equation file `eqs` from net 1
+    to it; the graph's warnings go to standard error."""
+    doc2 = load_net(net2)
+    system = parse_equation_system(read_text(eqs))
     tfg = build_tfg(system, doc1.net.places, doc2.net.places)
     for warning in tfg.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    return doc2, tfg
 
-    if args.rel2:
-        rel2 = RootRelation.from_reduced_matrix(
-            tfg, read_matrix(read_text(args.rel2)))
+
+def _cmd_matrix(args) -> int:
+    doc1 = load_net(args.net1)
+    places = doc1.net.places
+    # each source of the root relation, with the refusal of its holes
+    if not args.equations:
+        # the net is its own residual, under an empty equation file
+        tfg = build_tfg(parse_equation_system(""), places, places)
+        relation = RootRelation.from_reduced_matrix(tfg, oracle_matrix(
+            doc1.net, doc1.initial, cap=args.cap, budget=args.timeout))
+        refusal = BudgetExhausted(
+            "exploration hit the cap or the time budget; rerun with"
+            " --partial for a sound partial matrix")
     else:
-        rel2 = RootRelation.exact(tfg, doc2, cap=args.cap,
-                                  budget=args.timeout)
-
-    if args.partial:
-        matrix = matrix_partial(tfg, rel2)
-    elif not rel2.complete:
-        if args.oracle:
-            raise BudgetExhausted(
+        doc2, tfg = _load_graph(doc1, args.reduced, args.equations)
+        if args.rel2:
+            relation = RootRelation.from_reduced_matrix(
+                tfg, read_matrix(read_text(args.rel2)))
+            refusal = IncompleteRootRelation(
+                "the root relation file has undecided cells; use --partial")
+        else:
+            relation = RootRelation.exact(tfg, doc2, cap=args.cap,
+                                          budget=args.timeout)
+            refusal = BudgetExhausted(
                 "residual exploration hit the cap or the time budget and"
                 " the root relation is partial; rerun with --partial")
-        raise IncompleteRootRelation(
-            "the root relation file has undecided cells; use --partial")
-    else:
-        matrix = matrix_complete(tfg, rel2)
-    _write_output(_matrix_text(matrix, doc1.net.places, args.encoding),
-                  args.output)
+    if not (relation.complete or args.partial):
+        raise refusal
+    matrix = (matrix_partial if args.partial else matrix_complete)(tfg, relation)
+    _write_output(_matrix_text(matrix, places, args.encoding), args.output)
     return EXIT_OK
 
 
@@ -162,12 +164,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check_tfg(args) -> int:
-    doc1 = load_net(args.net1)
-    doc2 = load_net(args.net2)
-    system = parse_equation_system(read_text(args.eqs))
-    tfg = build_tfg(system, doc1.net.places, doc2.net.places)
-    for warning in tfg.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _, tfg = _load_graph(load_net(args.net1), args.net2, args.eqs)
     sys.stdout.write(f"well-formed: {len(tfg.nodes)} nodes,"
                      f" {len(tfg.roots)} roots\n")
     return EXIT_OK

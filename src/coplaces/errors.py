@@ -237,6 +237,19 @@ class RowLengthMismatch(InputFormatError):
         self.row = row
 
 
+class UnwritableNodeName(InputFormatError):
+    """A node name that a matrix file would not read back as itself."""
+
+    def __init__(self, name: str):
+        # a short name is escaped, so that a line break in it stays off the
+        # message's line; a long one is shown by its length
+        text = name if len(name) > SHOWN_LENGTH else repr(name)[1:-1]
+        super().__init__(f"node name {shown(text)} cannot be written to a"
+                         " matrix file: it must be one line of text, not"
+                         " empty, and without leading or trailing whitespace")
+        self.name = name
+
+
 class BadSymbol(InputFormatError):
     def __init__(self, row: int, col: int):
         super().__init__(f"bad cell symbol in matrix row {row}, column {col}")

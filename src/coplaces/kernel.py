@@ -79,9 +79,9 @@ class PropagationStats(Record):
 class RootRelation:
     """The concurrency relation restricted to the graph roots.
 
-    Cells take the values 0, 1 or `UNDECIDED`. Constant roots follow the
-    fixed convention: a 1-constant is live and concurrent with every
-    not-dead root, a 0-constant is dead and concurrent with nothing.
+    Cells take the values 0, 1 or `UNDECIDED`. Each relation is a product
+    of independent parts (`_of_parts`), a constant root being a part that
+    holds its value: a 1-constant is live, a 0-constant dead.
     """
 
     __slots__ = ("tfg", "cells")
@@ -115,38 +115,56 @@ class RootRelation:
         return self.cells.complete
 
     @classmethod
+    def _of_parts(cls, tfg: TokenFlowGraph,
+                  parts: list[ConcurrencyMatrix]) -> "RootRelation":
+        """The relation of the product of `parts`, which must cover exactly
+        the place roots, and of one part per constant root holding its
+        value: within a part the cells are the part's, across parts the
+        live roots are concurrent and `_normalize` zeroes the dead rows.
+        """
+        places = {p for part in parts for p in part.order}
+        place_roots = {r for r in tfg.roots if isinstance(r, str)}
+        if place_roots != places:
+            missing = sorted(place_roots - places)
+            extra = sorted(places - place_roots)
+            raise InvalidRootRelation(
+                f"relation covers the wrong places (missing"
+                f" {shown_nodes(missing)}, extra {shown_nodes(extra)})")
+        parts = [*parts, *(ConcurrencyMatrix((k,), fill=k.value)
+                           for k in tfg.roots if isinstance(k, ConstantNode))]
+        index: dict = {}                # each root's row in the product
+        ones: list[int] = []
+        zeros: list[int] = []
+        spans: list[int] = []           # the part of each root, as a mask
+        for part in parts:
+            # the part's rows move up to its own bit range of the product
+            shift, width = len(ones), part.size
+            part_ones, part_zeros = part.full_rows()
+            index.update(zip(part.order, range(shift, shift + width)))
+            ones.extend(row << shift for row in part_ones)
+            zeros.extend(row << shift for row in part_zeros)
+            spans.extend([((1 << width) - 1) << shift] * width)
+        live = sum(1 << i for i, row in enumerate(ones) if row >> i & 1)
+        for i, span in enumerate(spans):
+            if live >> i & 1:
+                ones[i] |= live & ~span
+        source = [index[root] for root in tfg.roots]
+        cells = ConcurrencyMatrix(tfg.roots, fill=UNDECIDED)
+        cells.add_ones(reorder(ones, source))
+        cells.add_zeros(reorder(zeros, source))
+        return cls(tfg, cells)
+
+    @classmethod
     def from_reduced_matrix(cls, tfg: TokenFlowGraph,
                             reduced: ConcurrencyMatrix | MatrixDocument) -> "RootRelation":
         """Extend a residual-net place matrix to all roots.
 
-        The matrix must cover exactly the non-constant roots; constant
-        roots are filled in by convention, reading liveness of the place
-        roots off the given matrix (undecided stays undecided).
+        The matrix must cover exactly the place roots; it is the one place
+        part of `_of_parts` (undecided cells stay undecided).
         """
         if isinstance(reduced, MatrixDocument):
             reduced = reduced.matrix
-        place_roots = {r for r in tfg.roots if isinstance(r, str)}
-        if place_roots != set(reduced.order):
-            missing = sorted(place_roots - set(reduced.order))
-            extra = sorted(set(reduced.order) - place_roots)
-            raise InvalidRootRelation(
-                f"relation covers the wrong places (missing"
-                f" {shown_nodes(missing)}, extra {shown_nodes(extra)})")
-
-        # place rows move into root order; a 0-constant gets its 0 diagonal
-        source = [reduced.index.get(root, -1) for root in tfg.roots]
-        ones, zeros = (reorder(rows, source) for rows in reduced.full_rows())
-        zeros = [row if s >= 0 else (root.value == 0) << k for k, (root, row, s)
-                 in enumerate(zip(tfg.roots, zeros, source))]
-        cells = ConcurrencyMatrix(tfg.roots, fill=UNDECIDED)
-        cells.add_ones(ones)
-        cells.add_zeros(zeros)
-        # 1-constants relate to the live roots; `_normalize` zeroes dead rows
-        one_constants = sum(1 << k for k, root in enumerate(tfg.roots)
-                            if isinstance(root, ConstantNode) and root.value)
-        live = sum(1 << k for k, row in enumerate(ones) if row >> k & 1)
-        cells.relate(one_constants, one_constants | live)
-        return cls(tfg, cells)
+        return cls._of_parts(tfg, [reduced])
 
     @classmethod
     def exact(cls, tfg: TokenFlowGraph, residual: NetDocument,
@@ -165,34 +183,15 @@ class RootRelation:
         marking.
         """
         deadline = None if budget is None else time.monotonic() + budget
-        order: list[str] = []
-        ones: list[int] = []
-        zeros: list[int] = []
-        spans: list[int] = []           # the part of each place, as a mask
+        parts = []
         for part in independent_parts(residual.net):
             m0 = {p: residual.initial[p] for p in part.places}
             left = None if deadline is None else deadline - time.monotonic()
             try:
-                matrix = oracle_matrix(part, m0, cap=cap, budget=left)
+                parts.append(oracle_matrix(part, m0, cap=cap, budget=left))
             except NotSafe as unsafe:
                 raise NotSafe({**residual.initial, **unsafe.witness}) from None
-            # the part's rows move up to its own bit range of `order`
-            shift, width = len(order), len(part.places)
-            part_ones, part_zeros = matrix.full_rows()
-            order.extend(part.places)
-            ones.extend(row << shift for row in part_ones)
-            zeros.extend(row << shift for row in part_zeros)
-            spans.extend([((1 << width) - 1) << shift] * width)
-        # live places of different parts are concurrent; the 0s of a dead
-        # place's row across parts come from `_normalize`
-        live = sum(1 << i for i, row in enumerate(ones) if row >> i & 1)
-        for i, span in enumerate(spans):
-            if live >> i & 1:
-                ones[i] |= live & ~span
-        matrix = ConcurrencyMatrix(order, fill=UNDECIDED)
-        matrix.add_ones(ones)
-        matrix.add_zeros(zeros)
-        return cls.from_reduced_matrix(tfg, matrix)
+        return cls._of_parts(tfg, parts)
 
 
 def _propagate_roots(tfg: TokenFlowGraph, rel2: RootRelation,

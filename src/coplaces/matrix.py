@@ -33,7 +33,7 @@ from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (BadHeader, BadSymbol, OrderMismatch, RowLengthMismatch,
-                     shown)
+                     UnwritableNodeName, shown)
 
 #: Cell value for "relation not decided yet".
 UNDECIDED = 2
@@ -328,7 +328,15 @@ def _decode_row_rle(text: str, row: int) -> str:
 
 
 def write_matrix(doc: MatrixDocument) -> str:
-    """Serialize a matrix document in its declared encoding."""
+    """Serialize a matrix document in its declared encoding.
+
+    Raises `UnwritableNodeName` for a name that `read_matrix` would not
+    return as itself: an empty one, one with surrounding whitespace, or one
+    that `str.splitlines` splits.
+    """
+    for name in doc.order:
+        if name.strip() != name or name.splitlines() != [name]:
+            raise UnwritableNodeName(name)
     lines = [str(len(doc.order))]
     lines.extend(doc.order)
     for i in range(len(doc.order)):

@@ -198,13 +198,13 @@ def _python_310():
 
 # what `import coplaces.cli` must not load: `dataclasses` (with `inspect`)
 # nowhere, XML until a PNML is read, `fractions` (with `decimal`) until a
-# reduction ratio is taken
+# reduction ratio is taken, `tempfile` until an output file is written
 _STARTUP = """
 import sys
 from pathlib import Path
 def loaded():
     heavy = ("dataclasses", "inspect", "fractions", "decimal",
-             "xml.etree.ElementTree")
+             "xml.etree.ElementTree", "tempfile")
     print(*[name for name in heavy if name in sys.modules], sep=",")
 import coplaces.cli
 loaded()
@@ -540,6 +540,50 @@ def test_reduce_rejects_names_its_outputs_cannot_hold(tmp_path, capsys, name,
     assert code == 0
     code, _, _ = run(capsys, "matrix", str(net))
     assert code == 0
+
+
+@pytest.mark.parametrize("place, shown", [("a&#10;b", r"'a\nb'"),
+                                         (" a", "' a'")],
+                         ids=["line-break", "leading-space"])
+def test_matrix_files_refuse_names_they_cannot_read_back(tmp_path, capsys,
+                                                         place, shown):
+    net = tmp_path / "n.pnml"
+    net.write_text(_pnml({place: 1, "q": 0}, {}), encoding="utf-8")
+    target = tmp_path / "F"
+    for command in ("oracle", "matrix"):
+        code, stdout, err = run(capsys, command, str(net), "-o", str(target))
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: node name {shown} cannot be written to a"
+                       " matrix file: it must be one line of text, not empty,"
+                       " and without leading or trailing whitespace\n")
+        assert not target.exists()
+
+
+def test_a_name_with_inner_space_round_trips(tmp_path, capsys):
+    net = tmp_path / "n.pnml"
+    net.write_text(_pnml({"a b": 1, "q": 0}, {}), encoding="utf-8")
+    for command in ("oracle", "matrix"):
+        target = tmp_path / f"{command}.mat"
+        assert run(capsys, command, str(net), "-o", str(target))[0] == 0
+        assert read_matrix(target.read_text(encoding="utf-8")).order == (
+            "a b", "q")
+        assert run(capsys, "compare", str(target), str(target)) == (
+            0, "equal\n", "")
+
+
+def test_w5_warning_reaches_stderr_once(tmp_path, capsys, fixture_path):
+    m1 = fixture_path("m1")
+    isolated = tmp_path / "m2z.net"
+    isolated.write_text(Path(fixture_path("m2.net")).read_text() + "pl z\n")
+    warning = "warning: leaf node 'z' is not a place of the initial net (W5)\n"
+    assert run(capsys, "check-tfg", f"{m1}.net", str(isolated), f"{m1}.eq") == (
+        0, "well-formed: 10 nodes, 4 roots\n", warning)
+    pipeline = ("matrix", f"{m1}.net", "--equations", f"{m1}.eq", "--oracle",
+                "--reduced")
+    code, stdout, err = run(capsys, *pipeline, str(isolated))
+    assert (code, err) == (0, warning)
+    # z is a root that no place of the initial net descends from
+    assert run(capsys, *pipeline, fixture_path("m2.net")) == (0, stdout, "")
 
 
 _LONG = "n" * 5000

@@ -17,7 +17,8 @@ from coplaces.formats import NetDocument, write_net_text
 from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
                              bits, read_matrix, transpose,
                              write_matrix)
-from coplaces.ptnet import PetriNet, independent_parts, oracle_matrix
+from coplaces.ptnet import (DEFAULT_STATE_CAP, PetriNet, independent_parts,
+                            oracle_matrix)
 from coplaces.reductions import reduce_net
 from coplaces.tfg import (build_tfg, parse_equation_system, successors,
                           write_equation_system)
@@ -725,27 +726,60 @@ def _split_cases(safe_net_corpus):
                          result.residual.net.places), result.residual)
 
 
+def _reference_exact(tfg, residual, cap=None):
+    """`RootRelation.exact` as it was before the parts and the constants
+    shared one product rule: the explored parts make one place matrix,
+    which the cell copy then extends to the constants."""
+    order, ones, zeros, spans = [], [], [], []
+    for part in independent_parts(residual.net):
+        m0 = {p: residual.initial[p] for p in part.places}
+        matrix = oracle_matrix(part, m0, cap=cap or DEFAULT_STATE_CAP)
+        shift, width = len(order), len(part.places)
+        part_ones, part_zeros = matrix.full_rows()
+        order.extend(part.places)
+        ones.extend(row << shift for row in part_ones)
+        zeros.extend(row << shift for row in part_zeros)
+        spans.extend([((1 << width) - 1) << shift] * width)
+    live = sum(1 << i for i, row in enumerate(ones) if row >> i & 1)
+    for i, span in enumerate(spans):
+        if live >> i & 1:
+            ones[i] |= live & ~span
+    matrix = ConcurrencyMatrix(order, fill=UNDECIDED)
+    matrix.add_ones(ones)
+    matrix.add_zeros(zeros)
+    return _reference_from_reduced_matrix(tfg, matrix)
+
+
 def test_exact_by_parts_matches_whole_net(safe_net_corpus):
-    split = 0
+    split = zero_constants = one_constants = 0
     for tfg, residual in _split_cases(safe_net_corpus):
+        values = {root.value for root in tfg.roots
+                  if isinstance(root, ConstantNode)}
+        zero_constants += 0 in values
+        one_constants += 1 in values
         whole = oracle_matrix(residual.net, residual.initial)
-        reference = RootRelation.from_reduced_matrix(tfg, whole)
-        assert RootRelation.exact(tfg, residual).cells == reference.cells
+        reference = _reference_from_reduced_matrix(tfg, whole)
         parts = independent_parts(residual.net)
         split += sum(len(part.transitions) > 0 for part in parts) >= 2
-        # sound at small caps, and here never less decided than one
-        # exploration of the whole net under the same cap
         true_ones, true_zeros = reference.cells.full_rows()
-        for cap in (1, 2, 3, 5):
-            cells = RootRelation.exact(tfg, residual, cap=cap).cells
+        for cap in (None, 1, 2, 3, 5):
+            limit = {} if cap is None else {"cap": cap}
+            cells = RootRelation.exact(tfg, residual, **limit).cells
+            assert cells == _reference_exact(tfg, residual, cap).cells, cap
+            if cap is None:
+                assert cells == reference.cells
+                continue
+            # sound at small caps, and here never less decided than one
+            # exploration of the whole net under the same cap
             ones, zeros = cells.full_rows()
             assert not any(o & z for o, z in zip(ones, true_zeros)), cap
             assert not any(z & o for z, o in zip(zeros, true_ones)), cap
-            capped = RootRelation.from_reduced_matrix(tfg, oracle_matrix(
+            capped = _reference_from_reduced_matrix(tfg, oracle_matrix(
                 residual.net, residual.initial, cap=cap)).cells.full_rows()
             assert not any((o | z) & ~(a | b) for o, z, a, b
                            in zip(*capped, ones, zeros)), cap
     assert split >= 100
+    assert zero_constants >= 300 and one_constants >= 300
 
 
 # sha256 over the pipeline outputs of the seed-2024 corpus, computed with

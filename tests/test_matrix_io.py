@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coplaces.errors import (BadHeader, BadSymbol, OrderMismatch,
-                             RowLengthMismatch, shown)
+                             RowLengthMismatch, UnwritableNodeName, shown)
 from coplaces.kernel import PropagationStats
 from coplaces.matrix import (UNDECIDED, ComparisonReport, ConcurrencyMatrix,
                              MatrixDocument, compare_matrices, filling_ratio,
@@ -137,6 +137,25 @@ def test_random_round_trips_both_encodings():
         again = read_matrix(write_matrix(doc))
         assert again.matrix == doc.matrix
         assert again.order == doc.order
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("a \t\n\r\v\x1c\x85\u2028") | st.characters(),
+               max_size=4))
+def test_a_name_reads_back_as_itself_or_is_refused(name):
+    doc = MatrixDocument((name,), ConcurrencyMatrix((name,), fill=1))
+    try:
+        text = write_matrix(doc)
+    except UnwritableNodeName as refused:
+        assert len(str(refused).splitlines()) == 1
+        # the file it would have written
+        text = f"1\n{name}\n1\n"
+        try:
+            assert read_matrix(text).order != (name,)
+        except BadHeader:
+            pass
+    else:
+        assert read_matrix(text).order == (name,)
 
 
 @settings(max_examples=300, deadline=None)
