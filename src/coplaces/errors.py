@@ -20,11 +20,15 @@ def shown(text, unit: str = "characters", quote: str = "'",
     """`text` as a message quotes it, or its length once it is long.
 
     Names and literals that a message copies from an input go through
-    here, so a long one cannot make the message longer than a line. The
-    long form, ``{noun}of {length} {unit}``, follows a noun in the message
-    or names one itself.
+    here, so a long one cannot make the message longer than a line, and a
+    text that is not printable, such as one holding a line break, is
+    escaped as a string literal would be, so it cannot break the line.
+    The long form, ``{noun}of {length} {unit}``, follows a noun in the
+    message or names one itself.
     """
     text = str(text)
+    if not text.isprintable():
+        text = repr(text)[1:-1]
     if len(text) <= SHOWN_LENGTH:
         return f"{quote}{text}{quote}"
     return f"{noun}of {len(text)} {unit}"
@@ -241,10 +245,7 @@ class UnwritableNodeName(InputFormatError):
     """A node name that a matrix file would not read back as itself."""
 
     def __init__(self, name: str):
-        # a short name is escaped, so that a line break in it stays off the
-        # message's line; a long one is shown by its length
-        text = name if len(name) > SHOWN_LENGTH else repr(name)[1:-1]
-        super().__init__(f"node name {shown(text)} cannot be written to a"
+        super().__init__(f"node name {shown(name)} cannot be written to a"
                          " matrix file: it must be one line of text, not"
                          " empty, and without leading or trailing whitespace")
         self.name = name

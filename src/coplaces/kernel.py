@@ -16,40 +16,14 @@ parts of the residual net fire independently, so its reachable markings
 are the product of the parts' markings, and each part is explored once on
 its own. Across parts, live places are concurrent and dead ones are not.
 
-The partial mode starts from an all-undecided matrix, seeds it with the
-root 0s, runs the same 1-propagation from roots known to be live, and
-then closes the matrix under six zero-propagation axioms (A1..A6 below).
-The root 1s need no seed: `RootRelation` makes every related root live,
-so propagation writes its diagonal and relates the cones of each related
-pair. Every 0 or 1 it writes is sound; undecided cells stay undecided.
+The partial mode is two runs of the complete mode. Its 1s come from the
+run on the known 1s of the root relation, and its 0s are the cells that
+the run on the upper relation, which reads every undecided root cell as 1,
+leaves at 0. Restricted to the initial places, both are sound:
 
-Axioms, where a "group" is one equation head v with members X:
-
-* A1  a dead node is nonconcurrent with everything;
-* A2  all members dead implies the head dead;
-* A3  a dead head implies all members dead;
-* A4  distinct members of one group are pairwise nonconcurrent;
-* A5  if every member is nonconcurrent with w, so is the head;
-* A6  if the head is nonconcurrent with w, so is every member.
-
-The closure works on whole node rows: each node keeps the mask of the
-nodes it is decided nonconcurrent with; A4 seeds it. A round repeats
-passes until no row grows, each pass running A6 over the groups heads
-first, A5 members first and A1 on the dead rows, then one transpose
-mirrors the round's new 0s into the columns; rounds stop when a pass over
-freshly mirrored rows adds nothing. Heads first is a sort on `tfg.topo`:
-R groups by falling rank of their head, then A groups by rising rank. An
-R group's members rank below its head and an A group's above, so a group
-headed by a member comes later within each half, and no A group has a
-member heading an R group, which T3 forbids. Axioms only turn undecided
-cells into 0 and the rule set is closed under transposition, so the
-result is the least symmetric fixpoint, whatever the order of groups and
-passes.
-A2 and A3 need no code: a node with a 1 in its row has a 1 on its diagonal
-(propagation writes the diagonal of every node it relates, and
-`RootRelation` rejects a dead root that is related), so A1 makes a dead
-node's row all zeros, and then A5 with w the head gives A2 and A6 with w a
-member gives A3.
+* the true root relation lies between the known 1s and the upper relation;
+* a run only ORs, so it is monotone in the relation;
+* on the true relation, a run is exact on the initial places.
 """
 
 from __future__ import annotations
@@ -61,10 +35,10 @@ from .errors import (IncompleteRootRelation, InvalidRootRelation, NotSafe,
                      shown, shown_nodes)
 from .formats import NetDocument
 from .matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument, Record,
-                     bits, reorder, transpose)
+                     bits, reorder)
 from .ptnet import (DEFAULT_STATE_CAP, DEFAULT_TIME_BUDGET,
                     independent_parts, oracle_matrix)
-from .tfg import ConstantNode, Group, TokenFlowGraph
+from .tfg import ConstantNode, TokenFlowGraph
 
 
 class PropagationStats(Record):
@@ -194,18 +168,18 @@ class RootRelation:
         return cls._of_parts(tfg, parts)
 
 
-def _propagate_roots(tfg: TokenFlowGraph, rel2: RootRelation,
-                     matrix: ConcurrencyMatrix,
-                     stats: Optional[PropagationStats] = None) -> None:
-    """Flood every live root, then give each node x in the cone of a live
-    root v the union N_v of the cones of the roots concurrent with v.
+def _propagate_roots(tfg: TokenFlowGraph, related: list[int],
+                     stats: Optional[PropagationStats] = None) -> list[int]:
+    """The node rows of 1s that the root rows of 1s `related` imply: flood
+    every live root, then give each node x in the cone of a live root v the
+    union N_v of the cones of the roots concurrent with v.
 
     Flooding makes the diagonal of every node in a live root's cone 1 and,
     for each redundancy arc out of such a node, relates the nodes
-    accumulated before the arc with the arc target's cone.
+    accumulated before the arc with the arc target's cone. A root related
+    to another must have its diagonal set, as `RootRelation` makes it.
     """
     index, cones = tfg.index, tfg.cones
-    related, _ = rel2.cells.full_rows()
     root_cones = [cones[index[root]] for root in tfg.roots]
     flooded = 0
     for v, cone in enumerate(root_cones):
@@ -228,7 +202,6 @@ def _propagate_roots(tfg: TokenFlowGraph, rel2: RootRelation,
             for i in bits(cone):
                 rows[i] |= succs
             succs |= cone
-    # a root related to v is live (`RootRelation` writes its diagonal)
     for v, cone in enumerate(root_cones):
         near = 0
         for w in bits(related[v] & ~(1 << v)):
@@ -236,7 +209,7 @@ def _propagate_roots(tfg: TokenFlowGraph, rel2: RootRelation,
         if near:
             for x in bits(cone):
                 rows[x] |= near
-    matrix.add_ones(rows)
+    return rows
 
 
 def matrix_complete(tfg: TokenFlowGraph, rel2: RootRelation,
@@ -253,90 +226,23 @@ def matrix_complete(tfg: TokenFlowGraph, rel2: RootRelation,
         raise IncompleteRootRelation(
             "complete mode needs a fully decided root relation")
     matrix = ConcurrencyMatrix(tfg.nodes, fill=0)
-    _propagate_roots(tfg, rel2, matrix, stats)
+    matrix.add_ones(_propagate_roots(tfg, rel2.cells.full_rows()[0], stats))
     return matrix
-
-
-def _heads_first(tfg: TokenFlowGraph) -> list[Group]:
-    """The groups, each before every group headed by one of its members.
-
-    The R groups come first, by falling rank of their head in `tfg.topo`,
-    then the A groups by rising rank. An R group's members rank below its
-    head (arcs run member to head) and an A group's above (arcs run head
-    to member), so within each half a group headed by a member comes
-    later. Across the halves, every A group comes after every R group, and
-    no A group has a member heading an R group: that node would be
-    removed twice (T3).
-    """
-    rank = dict(zip(tfg.topo, range(len(tfg.topo))))
-    return sorted(tfg.groups, key=lambda group: (
-        group.tag == "A", rank[group.head] if group.tag == "A"
-        else -rank[group.head]))
-
-
-def _close_zeros(tfg: TokenFlowGraph, groups: list[Group],
-                 ones: list[int], zeros: list[int]) -> list[int]:
-    """Symmetric 0-rows `zeros` closed under A1, A4, A5 and A6, never over a
-    1 of the symmetric `ones`.
-
-    Each round repeats passes over the rows until they stop changing: A6
-    over `groups` in order, A5 in reverse order, then A1. One transpose then
-    mirrors the round's 0s. Listing each group before the groups headed by
-    its members (`_heads_first`) saves passes; any order gives the same
-    rows, the least symmetric ones that the axioms close.
-    """
-    index, n = tfg.index, len(zeros)
-    free = [~row & ((1 << n) - 1) for row in ones]
-    zeros = list(zeros)
-    # A4 holds unconditionally on safe nets: equation members exclude
-    # each other because their sum is bounded by one
-    for group in tfg.groups:
-        members = [index[m] for m in group.members]
-        siblings = sum({1 << m for m in members})
-        for m in members:
-            zeros[m] |= siblings & ~(1 << m) & free[m]
-    rows = [(index[group.head], [index[m] for m in group.members])
-            for group in groups]
-
-    def closure_pass() -> bool:
-        before = zeros[:]
-        for head, members in rows:
-            # A6: head nonconcurrent with w, so are the members
-            for m in members:
-                zeros[m] |= zeros[head] & free[m]
-        for head, members in reversed(rows):
-            # A5: all members nonconcurrent with w, so is the head
-            common = free[head]
-            for m in members:
-                common &= zeros[m]
-            zeros[head] |= common
-        for v, row in enumerate(zeros):
-            # A1: a dead node is nonconcurrent with everything
-            if row >> v & 1:
-                zeros[v] = free[v]
-        return zeros != before
-
-    # A2 and A3 follow from A1, A5 and A6 (see the module docstring); the
-    # rows are symmetric on entry and after each transpose, so a pass that
-    # changes nothing there ends the closure
-    while closure_pass():
-        while closure_pass():
-            pass
-        zeros = [row | column for row, column in zip(zeros, transpose(zeros, n))]
-    return zeros
 
 
 def matrix_partial(tfg: TokenFlowGraph, rel2: RootRelation) -> ConcurrencyMatrix:
     """Sound partial concurrency matrix from a partial root relation.
 
-    Cells start undecided; the root 0s are seeded, 1-propagation runs
-    from the roots known to be live, then the zero-axioms close the node
-    rows to a fixpoint, which is unique because axioms only ever turn
-    undecided cells into 0.
+    Cells start undecided. The 1s are the complete mode's on the known root
+    1s, the 0s the cells it leaves at 0 on the upper relation, which reads
+    each undecided root cell as 1; a decided root 0 stays 0 there, since
+    no root lies in the cone of another. On a complete relation this is
+    `matrix_complete`, cell for cell.
     """
+    ones, zeros = rel2.cells.full_rows()
+    roots, nodes = (1 << len(ones)) - 1, (1 << len(tfg.nodes)) - 1
     matrix = ConcurrencyMatrix(tfg.nodes, fill=UNDECIDED)
-    source = [rel2.cells.index.get(node, -1) for node in tfg.nodes]
-    matrix.add_zeros(reorder(rel2.cells.full_rows()[1], source))
-    _propagate_roots(tfg, rel2, matrix)
-    matrix.add_zeros(_close_zeros(tfg, _heads_first(tfg), *matrix.full_rows()))
+    matrix.add_ones(_propagate_roots(tfg, ones))
+    upper = _propagate_roots(tfg, [roots & ~row for row in zeros])
+    matrix.add_zeros([nodes & ~row for row in upper])
     return matrix

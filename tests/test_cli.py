@@ -559,6 +559,33 @@ def test_matrix_files_refuse_names_they_cannot_read_back(tmp_path, capsys,
         assert not target.exists()
 
 
+_BROKEN = "a&#10;b"       # a PNML id holding a line break
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("reduce", _pnml({_BROKEN: 1, "b": 0}, {}).replace(
+        "</net>", f'<place id="{_BROKEN}"/></net>'), "duplicate id"),
+    ("oracle", _pnml({_BROKEN: 1}, {}).replace(
+        "</net>", f'<transition id="{_BROKEN}"/></net>'), "duplicate id"),
+    ("reduce", _irreducible_fork(_BROKEN, "p3"), "identifier"),
+    ("oracle", _pnml({_BROKEN: 1, "q": 0}, {}), "node name"),
+    ("matrix", _pnml({"p": 1, "q": 0}, {}).replace(
+        "</net>", f'<arc id="{_BROKEN}" source="p" target="q"/></net>'),
+     "arc"),
+    ("oracle", _pnml({_BROKEN: "x"}, {}), "non-integer initialMarking 'x' on"),
+], ids=["duplicate-place", "duplicate-transition", "unwritable-identifier",
+        "node-name", "arc", "marking"])
+def test_a_name_with_a_line_break_stays_on_the_message_line(
+        tmp_path, capsys, command, text, message):
+    net = tmp_path / "n.pnml"
+    net.write_text(text, encoding="utf-8")
+    code, stdout, err = run(capsys, command, str(net), "-o",
+                            str(tmp_path / "out"))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {message} 'a\\nb'")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_a_name_with_inner_space_round_trips(tmp_path, capsys):
     net = tmp_path / "n.pnml"
     net.write_text(_pnml({"a b": 1, "q": 0}, {}), encoding="utf-8")

@@ -2,26 +2,24 @@
 
 import hashlib
 import random
+import sys
 import time
 from collections import deque
 
 import pytest
 
-from coplaces import kernel
 from coplaces.errors import IncompleteRootRelation, InvalidRootRelation
-from coplaces.kernel import (PropagationStats, RootRelation, _close_zeros,
-                             _heads_first, _propagate_roots, matrix_complete,
-                             matrix_partial)
-from coplaces.tfg import ConstantNode
-from coplaces.formats import NetDocument, write_net_text
+from coplaces.kernel import (PropagationStats, RootRelation, _propagate_roots,
+                             matrix_complete, matrix_partial)
+from coplaces.formats import NetDocument, parse_net_text, write_net_text
 from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
-                             bits, read_matrix, transpose,
+                             bits, read_matrix, reorder, transpose,
                              write_matrix)
 from coplaces.ptnet import (DEFAULT_STATE_CAP, PetriNet, independent_parts,
                             oracle_matrix)
 from coplaces.reductions import reduce_net
-from coplaces.tfg import (build_tfg, parse_equation_system, successors,
-                          write_equation_system)
+from coplaces.tfg import (ConstantNode, build_tfg, parse_equation_system,
+                          successors, write_equation_system)
 
 
 def _fig_rel2(fig_tfg, p6_undecided=False, p0_dead=True):
@@ -88,18 +86,20 @@ def test_propagate_node_trace(fig_tfg):
     # only a2 live: its cone floods, once per node
     C = ConcurrencyMatrix(fig_tfg.nodes, fill=0)
     stats = PropagationStats()
-    _propagate_roots(fig_tfg, _fig_rel2(fig_tfg, p6_undecided=True), C, stats)
+    related = _fig_rel2(fig_tfg, p6_undecided=True).cells.full_rows()[0]
+    C.add_ones(_propagate_roots(fig_tfg, related, stats))
     assert stats.body_runs == 7
     assert C.value("p4", "p5") == 1
     assert C.value("p5", "p1") == 1
     assert C.value("p1", "p2") == 0        # siblings never cross
     assert C.value("p6", "p6") == 0
 
-    _propagate_roots(fig_tfg, _fig_rel2(fig_tfg), C)
+    related = _fig_rel2(fig_tfg).cells.full_rows()[0]
+    C.add_ones(_propagate_roots(fig_tfg, related))
     assert C.value("p6", "p6") == 1
 
     before = C.write_count
-    _propagate_roots(fig_tfg, _fig_rel2(fig_tfg), C)
+    C.add_ones(_propagate_roots(fig_tfg, related))
     assert C.write_count == before          # idempotent, zero writes
 
 
@@ -240,8 +240,8 @@ def _member_groups(tfg):
     return groups
 
 
-def _reference_partial(tfg, rel2, rng=None):
-    """The cell-worklist zero closure that `matrix_partial` replaced.
+def _reference_worklist(tfg, rel2, rng=None):
+    """The cell-worklist zero closure that the row closure replaced.
 
     Each decided-zero cell is queued once and runs all six axioms; `rng`,
     when given, pops the queue in a random order.
@@ -296,6 +296,97 @@ def _reference_partial(tfg, rel2, rng=None):
                 for group in member_groups.get(u, ()):          # A5
                     if all(matrix.value(m, w) == 0 for m in group.members):
                         set_zero(group.head, w)
+    return matrix
+
+
+def _heads_first(tfg):
+    """The groups, each before every group headed by one of its members.
+
+    The R groups come first, by falling rank of their head in `tfg.topo`,
+    then the A groups by rising rank. An R group's members rank below its
+    head (arcs run member to head) and an A group's above (arcs run head
+    to member), so within each half a group headed by a member comes
+    later. Across the halves, every A group comes after every R group, and
+    no A group has a member heading an R group: that node would be
+    removed twice (T3).
+    """
+    rank = dict(zip(tfg.topo, range(len(tfg.topo))))
+    return sorted(tfg.groups, key=lambda group: (
+        group.tag == "A", rank[group.head] if group.tag == "A"
+        else -rank[group.head]))
+
+
+def _close_zeros(tfg, groups, ones, zeros):
+    """Symmetric 0-rows `zeros` closed under A1, A4, A5 and A6, never over a
+    1 of the symmetric `ones`.
+
+    Axioms, where a "group" is one equation head v with members X:
+
+    * A1  a dead node is nonconcurrent with everything;
+    * A2  all members dead implies the head dead;
+    * A3  a dead head implies all members dead;
+    * A4  distinct members of one group are pairwise nonconcurrent;
+    * A5  if every member is nonconcurrent with w, so is the head;
+    * A6  if the head is nonconcurrent with w, so is every member.
+
+    Each round repeats passes over the rows until they stop changing: A6
+    over `groups` in order, A5 in reverse order, then A1. One transpose then
+    mirrors the round's 0s. Listing each group before the groups headed by
+    its members (`_heads_first`) saves passes; any order gives the same
+    rows, the least symmetric ones that the axioms close. A2 and A3 need
+    no code: a node with a 1 in its row has a 1 on its diagonal, so A1
+    makes a dead node's row all zeros, and then A5 with w the head gives
+    A2 and A6 with w a member gives A3.
+    """
+    index, n = tfg.index, len(zeros)
+    free = [~row & ((1 << n) - 1) for row in ones]
+    zeros = list(zeros)
+    # A4 holds unconditionally on safe nets: equation members exclude
+    # each other because their sum is bounded by one
+    for group in tfg.groups:
+        members = [index[m] for m in group.members]
+        siblings = sum({1 << m for m in members})
+        for m in members:
+            zeros[m] |= siblings & ~(1 << m) & free[m]
+    rows = [(index[group.head], [index[m] for m in group.members])
+            for group in groups]
+
+    def closure_pass() -> bool:
+        before = zeros[:]
+        for head, members in rows:
+            # A6: head nonconcurrent with w, so are the members
+            for m in members:
+                zeros[m] |= zeros[head] & free[m]
+        for head, members in reversed(rows):
+            # A5: all members nonconcurrent with w, so is the head
+            common = free[head]
+            for m in members:
+                common &= zeros[m]
+            zeros[head] |= common
+        for v, row in enumerate(zeros):
+            # A1: a dead node is nonconcurrent with everything
+            if row >> v & 1:
+                zeros[v] = free[v]
+        return zeros != before
+
+    # the rows are symmetric on entry and after each transpose, so a pass
+    # that changes nothing there ends the closure
+    while closure_pass():
+        while closure_pass():
+            pass
+        zeros = [row | column for row, column in zip(zeros, transpose(zeros, n))]
+    return zeros
+
+
+def _reference_partial(tfg, rel2):
+    """The A1-A6 zero closure that `matrix_partial` was before it became
+    two runs of the complete kernel: the root 0s are seeded, the known 1s
+    propagated, then `_close_zeros` closes the node rows."""
+    matrix = ConcurrencyMatrix(tfg.nodes, fill=UNDECIDED)
+    source = [rel2.cells.index.get(node, -1) for node in tfg.nodes]
+    matrix.add_zeros(reorder(rel2.cells.full_rows()[1], source))
+    matrix.add_ones(_propagate_roots(tfg, rel2.cells.full_rows()[0]))
+    matrix.add_zeros(_close_zeros(tfg, _heads_first(tfg), *matrix.full_rows()))
     return matrix
 
 
@@ -372,9 +463,9 @@ def test_partial_axioms_confluent(safe_net_corpus, tfg_corpus):
     # the row closure reaches the fixpoint of the cell worklist, whatever
     # order the worklist pops its cells in, with the same effective writes
     for tfg, rel2 in _blanked_relations(safe_net_corpus, tfg_corpus):
-        rows = matrix_partial(tfg, rel2)
+        rows = _reference_partial(tfg, rel2)
         for shuffle in (None, *(random.Random(1000 + k) for k in range(4))):
-            cells = _reference_partial(tfg, rel2, shuffle)
+            cells = _reference_worklist(tfg, rel2, shuffle)
             assert rows == cells
             assert rows.write_count == cells.write_count
 
@@ -388,7 +479,7 @@ def _reference_row_closure(tfg, rel2):
     """
     matrix = ConcurrencyMatrix(tfg.nodes, fill=UNDECIDED)
     matrix.add_zeros(_reference_seed(tfg, rel2).full_rows()[1])
-    _propagate_roots(tfg, rel2, matrix)
+    matrix.add_ones(_propagate_roots(tfg, rel2.cells.full_rows()[0]))
 
     ones, zeros = matrix.full_rows()
     pending = {v for v, row in enumerate(zeros) if row}
@@ -442,7 +533,7 @@ def _closure_cases(safe_net_corpus, tfg_corpus):
 def test_zero_closure_matches_pending_rows(safe_net_corpus, tfg_corpus):
     cases = met = 0
     for tfg, rel2 in _closure_cases(safe_net_corpus, tfg_corpus):
-        rows = matrix_partial(tfg, rel2)
+        rows = _reference_partial(tfg, rel2)
         reference, dropped = _reference_row_closure(tfg, rel2)
         assert rows == reference
         assert rows.write_count == reference.write_count
@@ -460,7 +551,7 @@ def test_zero_closure_ignores_group_order(safe_net_corpus, tfg_corpus):
         heads_first = _heads_first(tfg)
         shuffled = list(tfg.groups)
         rng.shuffle(shuffled)
-        expected = matrix_partial(tfg, rel2)
+        expected = _reference_partial(tfg, rel2)
         for order in (heads_first, heads_first[::-1], list(tfg.groups),
                       shuffled):
             matrix = seeded.copy()
@@ -488,13 +579,13 @@ def _reference_heads_first(tfg):
 
 def test_heads_first_sort_needs_no_more_rounds_than_kahn(
         monkeypatch, safe_net_corpus, tfg_corpus):
-    calls = [0]
+    calls, original = [0], transpose
 
     def counted(rows, width):
         calls[0] += 1
-        return transpose(rows, width)
+        return original(rows, width)
 
-    monkeypatch.setattr(kernel, "transpose", counted)
+    monkeypatch.setattr(sys.modules[__name__], "transpose", counted)
     cases = 0
     for tfg, rel2 in _closure_cases(safe_net_corpus, tfg_corpus):
         seeded = _reference_seed(tfg, rel2)
@@ -584,7 +675,8 @@ def test_propagate_roots_matches_pair_loop(safe_net_corpus, tfg_corpus):
             rows = ConcurrencyMatrix(tfg.nodes, fill=fill)
             pairs = ConcurrencyMatrix(tfg.nodes, fill=fill)
             row_stats, pair_stats = PropagationStats(), PropagationStats()
-            _propagate_roots(tfg, rel2, rows, row_stats)
+            rows.add_ones(_propagate_roots(tfg, rel2.cells.full_rows()[0],
+                                           row_stats))
             _reference_propagate_roots(tfg, rel2, pairs, pair_stats)
             assert rows == pairs
             assert rows.write_count == pairs.write_count
@@ -715,15 +807,16 @@ def _disjoint_union(docs, rng):
 
 
 def _split_cases(safe_net_corpus):
-    """Reduced corpus nets, then disjoint unions of two or three of them."""
+    """Reduced corpus nets, then disjoint unions of two or three of them,
+    each with its graph and residual."""
     corpus = safe_net_corpus(2024, 500)
     rng = random.Random(8)
     unions = [_disjoint_union(rng.sample(corpus, rng.randint(2, 3)), rng)
               for _ in range(150)]
     for doc in corpus + unions:
         result = reduce_net(doc)
-        yield (build_tfg(result.equations, doc.net.places,
-                         result.residual.net.places), result.residual)
+        yield doc, build_tfg(result.equations, doc.net.places,
+                             result.residual.net.places), result.residual
 
 
 def _reference_exact(tfg, residual, cap=None):
@@ -752,7 +845,7 @@ def _reference_exact(tfg, residual, cap=None):
 
 def test_exact_by_parts_matches_whole_net(safe_net_corpus):
     split = zero_constants = one_constants = 0
-    for tfg, residual in _split_cases(safe_net_corpus):
+    for _, tfg, residual in _split_cases(safe_net_corpus):
         values = {root.value for root in tfg.roots
                   if isinstance(root, ConstantNode)}
         zero_constants += 0 in values
@@ -780,6 +873,92 @@ def test_exact_by_parts_matches_whole_net(safe_net_corpus):
                            in zip(*capped, ones, zeros)), cap
     assert split >= 100
     assert zero_constants >= 300 and one_constants >= 300
+
+
+def _bracketed_relations(safe_net_corpus):
+    """Initial places, graphs and root relations with holes: residual
+    matrices blanked at four rates, as in criterion C3, then `exact` at
+    small caps on the nets and unions of `_split_cases`."""
+    for seed in (2024, 7, 99, 43):
+        rng = random.Random(seed)
+        for doc in safe_net_corpus(seed, 500):
+            result = reduce_net(doc)
+            tfg = build_tfg(result.equations, doc.net.places,
+                            result.residual.net.places)
+            reduced = oracle_matrix(result.residual.net,
+                                    result.residual.initial)
+            for rate in (0.2, 0.5, 0.9, 1.0):
+                masked = reduced.copy()
+                for i in range(masked.size):
+                    for j in range(i + 1):
+                        if rng.random() < rate:
+                            masked.set_at(i, j, UNDECIDED)
+                yield doc.net.places, tfg, RootRelation.from_reduced_matrix(
+                    tfg, masked)
+    for doc, tfg, residual in _split_cases(safe_net_corpus):
+        for cap in (1, 2, 3):
+            yield doc.net.places, tfg, RootRelation.exact(tfg, residual, cap)
+
+
+def test_partial_place_rows_match_the_closure(safe_net_corpus):
+    # the two runs decide the same cells among the initial places as the
+    # A1-A6 closure; cells of other nodes may differ
+    cases = partial = 0
+    for places, tfg, rel2 in _bracketed_relations(safe_net_corpus):
+        rows = matrix_partial(tfg, rel2).restrict(places)
+        assert rows == _reference_partial(tfg, rel2).restrict(places)
+        cases += 1
+        partial += not rel2.complete
+    assert cases == 8000 + 650 * 3 and partial >= 5000
+
+
+def test_partial_equals_complete_on_complete_relations(safe_net_corpus):
+    for seed in (2024, 7, 99):
+        for doc in safe_net_corpus(seed, 500):
+            result = reduce_net(doc)
+            tfg = build_tfg(result.equations, doc.net.places,
+                            result.residual.net.places)
+            rel2 = RootRelation.exact(tfg, result.residual)
+            assert rel2.complete
+            assert matrix_partial(tfg, rel2) == matrix_complete(tfg, rel2)
+
+
+def _chain_and_cycles(length, cycles):
+    """A closed chain of `length` places and `cycles` 3-cycles x -> y -> z,
+    each y with a duplicate d, every component holding one token."""
+    lines = ["pl c0 1", *(f"pl c{i}" for i in range(1, length))]
+    lines += [f"tr s{i} : c{i} -> c{(i + 1) % length}" for i in range(length)]
+    for k in range(cycles):
+        lines += [f"pl x{k} 1", f"pl y{k}", f"pl d{k}", f"pl z{k}",
+                  f"tr u{k} : x{k} -> y{k} d{k}",
+                  f"tr v{k} : y{k} d{k} -> z{k}", f"tr w{k} : z{k} -> x{k}"]
+    return parse_net_text("\n".join(lines) + "\n")
+
+
+def test_partial_cost_at_2800_places():
+    # two runs of the complete kernel; the A1-A6 closure of
+    # `_reference_partial`, mirroring each round with a whole-matrix
+    # transpose, takes several times this
+    doc = _chain_and_cycles(2000, 200)
+    result = reduce_net(doc)
+    tfg = build_tfg(result.equations, doc.net.places,
+                    result.residual.net.places)
+    assert (len(tfg.nodes), len(tfg.roots)) == (5400, 201)
+    cells = RootRelation.exact(tfg, result.residual).cells
+    rng = random.Random(53)
+    for i in range(cells.size):
+        for j in range(i):
+            if rng.random() < 0.5:
+                cells.set_at(i, j, UNDECIDED)
+    rel2 = RootRelation(tfg, cells)
+    timings = []
+    for _ in range(3):
+        start = time.perf_counter()
+        partial = matrix_partial(tfg, rel2)
+        timings.append(time.perf_counter() - start)
+    assert min(timings) < 0.3
+    assert partial.value("y0", "d0") == 1
+    assert partial.value("c0", "c1") == 0
 
 
 # sha256 over the pipeline outputs of the seed-2024 corpus, computed with
