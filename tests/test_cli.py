@@ -1064,3 +1064,52 @@ def test_golden_cli_digest(tmp_path, capsys, safe_net_corpus):
                  if path.exists() else "absent")
     assert codes == {0, 3, 5}
     assert digest.hexdigest() == GOLDEN_CLI_DIGEST
+
+
+def _golden_explore_commands(tmp_path, corpus):
+    """Each command of the exploration digest with the files it writes:
+    `oracle` and `matrix` without equations, on m1, m2 and the nets of
+    `corpus`, all copied into `tmp_path`."""
+    for name in ("m1.net", "m2.net"):
+        shutil.copy(_FIXTURES / name, tmp_path / name)
+    stems = ["m1", "m2"]
+    for k, doc in enumerate(corpus):
+        (tmp_path / f"n{k}.net").write_text(write_net_text(doc), encoding="utf-8")
+        stems.append(f"n{k}")
+    for stem in stems:
+        net = str(tmp_path / f"{stem}.net")
+        for command in ("oracle", "matrix"):
+            rle = tmp_path / f"{stem}.{command}.rle.mat"
+            yield [command, net, "--rle", "-o", str(rle)], [rle]
+        for cap in ("1", "2"):
+            yield ["oracle", net, "--cap", cap], []
+        yield ["matrix", net], []
+        yield ["matrix", net, "--cap", "2"], []
+        yield ["matrix", net, "--cap", "2", "--partial"], []
+
+
+# sha256 over the argv, exit code, stdout, stderr and written files of the
+# commands above, pinned before the explorer fired by whole masks and the
+# oracle filled its rows at once
+GOLDEN_EXPLORE_DIGEST = (
+    "af0afc872893ab31d3cb3c7b7ee80cb5e708b95357e12e9fae05d1e64facfd1f")
+
+
+def test_golden_explore_digest(tmp_path, capsys, safe_net_corpus):
+    digest = hashlib.sha256()
+
+    def feed(text):
+        digest.update(text.replace(str(tmp_path), "TMP").encode("utf-8") + b"\0")
+
+    codes = set()
+    for argv, written in _golden_explore_commands(tmp_path,
+                                                  safe_net_corpus(43, 40)):
+        code, stdout, stderr = run(capsys, *argv)
+        codes.add(code)
+        for text in (*argv, str(code), stdout, stderr):
+            feed(text)
+        for path in written:
+            feed(hashlib.sha256(path.read_bytes()).hexdigest()
+                 if path.exists() else "absent")
+    assert codes == {0, 5}
+    assert digest.hexdigest() == GOLDEN_EXPLORE_DIGEST
