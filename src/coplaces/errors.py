@@ -82,8 +82,13 @@ class NotSafe(AnalysisError):
     """A reachable marking, the dict `witness`, has two tokens in a place."""
 
     def __init__(self, witness):
-        marked = ", ".join(f"{p}:{n}" for p, n in sorted(witness.items()) if n)
-        super().__init__(f"net is not 1-bounded, witness marking {{{marked}}}")
+        marked = [(p, n) for p, n in sorted(witness.items()) if n]
+        listed = [f"{shown(p, quote='', noun='a place ')}:{n}" for k, (p, n)
+                  in enumerate(marked) if k < SHOWN_NODES or n >= 2]
+        if len(listed) < len(marked):
+            listed.append(f"and {len(marked) - len(listed)} more")
+        super().__init__("net is not 1-bounded, witness marking"
+                         f" {{{', '.join(listed)}}}")
         self.witness = witness
 
 

@@ -181,13 +181,6 @@ class ConcurrencyMatrix:
         (self._ones if value else self._zeros)[i] |= new
         self.write_count += (new & ((2 << i) - 1)).bit_count()
 
-    def relate(self, xs: int, ys: int) -> None:
-        """Set to 1 every cell (x, y) with bit x in `xs` and bit y in `ys`."""
-        for i in bits(xs | ys):
-            row = (ys if xs >> i & 1 else 0) | (xs if ys >> i & 1 else 0)
-            if new := row & ~self._ones[i]:
-                self._write(i, new, 1)
-
     def add_ones(self, rows: Sequence[int]) -> None:
         """Set to 1 every cell (i, j) with bit j in symmetric rows[i]."""
         for i, row in enumerate(rows):

@@ -18,7 +18,7 @@ import time
 from typing import Iterable, Mapping
 
 from .errors import NotEnabled, NotSafe, UnknownTransition
-from .matrix import UNDECIDED, ConcurrencyMatrix
+from .matrix import UNDECIDED, ConcurrencyMatrix, bits
 
 DEFAULT_STATE_CAP = 1_000_000
 DEFAULT_TIME_BUDGET = 60.0
@@ -165,21 +165,22 @@ def fire_transition(net: PetriNet, marking: Mapping[str, int],
 
 
 def _compile_transitions(net: PetriNet):
-    """Per-transition firing data over place indices, for mask exploration.
-
-    Transitions with a pre-condition weight of 2 or more can never fire
-    from a 1-bounded marking and are dropped from the frontier loop.
+    """Per transition ``(t, pre_mask, post_mask, heavy)`` over place bits,
+    `heavy` when a post weight is 2 or more; a transition with a pre weight
+    of 2 or more never fires from a 1-bounded marking and is left out.
     """
     compiled = []
     for t in net.transitions:
         pre, post = net.pre[t], net.post[t]
         if any(w >= 2 for w in pre.values()):
             continue
-        pre_mask = 0
+        pre_mask = post_mask = 0
         for p in pre:
             pre_mask |= 1 << net.place_index(p)
-        post_items = tuple((net.place_index(p), w) for p, w in post.items())
-        compiled.append((t, pre_mask, post_items))
+        for p in post:
+            post_mask |= 1 << net.place_index(p)
+        compiled.append((t, pre_mask, post_mask,
+                         any(w >= 2 for w in post.values())))
     return compiled
 
 
@@ -196,11 +197,9 @@ def explore_reachable(net: PetriNet, m0: Mapping[str, int],
         raise ValueError("cap must be at least 1")
     if set(m0) != set(net.places):
         raise ValueError("marking domain differs from net places")
-    m0_mask = 0
-    for p, n in m0.items():
-        if n >= 2:
-            raise NotSafe(m0)
-        m0_mask |= n << net.place_index(p)
+    if any(n >= 2 for n in m0.values()):
+        raise NotSafe(m0)
+    m0_mask = sum(n << net.place_index(p) for p, n in m0.items())
 
     compiled = _compile_transitions(net)
     deadline = None if budget is None else time.monotonic() + budget
@@ -212,18 +211,15 @@ def explore_reachable(net: PetriNet, m0: Mapping[str, int],
     for mask in masks:
         if deadline is not None and time.monotonic() > deadline:
             return ReachabilitySet(net.places, masks, truncated=True)
-        for t, pre_mask, post_items in compiled:
+        for t, pre_mask, post_mask, heavy in compiled:
             if mask & pre_mask != pre_mask:
                 continue
             new = mask & ~pre_mask
-            for i, w in post_items:
-                if w >= 2 or new >> i & 1:
-                    # two tokens would land in place i: the successor
-                    # marking is the unsafety evidence
-                    marking = {p: mask >> j & 1
-                               for j, p in enumerate(net.places)}
-                    raise NotSafe(fire_transition(net, marking, t))
-                new |= 1 << i
+            if heavy or new & post_mask:
+                # a second token in a place: the successor is the witness
+                marking = {p: mask >> j & 1 for j, p in enumerate(net.places)}
+                raise NotSafe(fire_transition(net, marking, t))
+            new |= post_mask
             if new not in seen:
                 if len(masks) >= cap:
                     return ReachabilitySet(net.places, masks, truncated=True)
@@ -280,6 +276,10 @@ def oracle_matrix(net: PetriNet, m0: Mapping[str, int],
     result = explore_reachable(net, m0, cap=cap, budget=budget)
     fill = UNDECIDED if result.truncated else 0
     matrix = ConcurrencyMatrix(net.places, fill=fill)
+    # row i is the OR of the markings that mark place i
+    rows = [0] * len(net.places)
     for mask in result.masks:
-        matrix.relate(mask, mask)
+        for i in bits(mask):
+            rows[i] |= mask
+    matrix.add_ones(rows)
     return matrix

@@ -357,8 +357,8 @@ def build_tfg(system: EquationSystem, p1: Sequence[str],
     # a node is an arc target exactly when some group removes it
     roots = tuple(v for v in nodes if v not in removed)
 
-    warnings = tuple(f"leaf node '{v}' is not a place of the initial net (W5)"
-                     for v, targets in zip(nodes, children)
+    warnings = tuple(f"leaf node {shown(v)} is not a place of the initial"
+                     " net (W5)" for v, targets in zip(nodes, children)
                      if not targets and isinstance(v, str) and v not in p1_set)
 
     return TokenFlowGraph(

@@ -586,6 +586,35 @@ def test_a_name_with_a_line_break_stays_on_the_message_line(
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_unsafety_witness_and_w5_name_a_line_break_on_one_line(tmp_path,
+                                                               capsys):
+    unsafe = tmp_path / "unsafe.pnml"
+    unsafe.write_text(_pnml({_BROKEN: 1}, {"t": ([], [_BROKEN])}),
+                      encoding="utf-8")
+    assert run(capsys, "oracle", str(unsafe)) == (
+        3, "", "error: net is not 1-bounded, witness marking {a\\nb:2}\n")
+    net2 = tmp_path / "m2.pnml"
+    net2.write_text(_pnml({"p0": 0, "a2": 1, "p6": 1, _BROKEN: 0},
+                          {"t4": (["p0"], ["p6"])}), encoding="utf-8")
+    assert run(capsys, "check-tfg", str(_FIXTURES / "m1.net"), str(net2),
+               str(_FIXTURES / "m1.eq")) == (
+        0, "well-formed: 10 nodes, 4 roots\n",
+        "warning: leaf node 'a\\nb' is not a place of the initial net (W5)\n")
+
+
+def test_unsafety_witness_lists_few_places_and_every_doubled_one(tmp_path,
+                                                                 capsys):
+    net = tmp_path / "unsafe.net"
+    net.write_text("".join(f"pl q{k:02} 1\n" for k in range(30))
+                   + f"pl {_LONG} 1\ntr t : -> q15 {_LONG}\n")
+    code, stdout, err = run(capsys, "oracle", str(net))
+    assert (code, stdout) == (3, "")
+    # the places in name order: "nnn..." before "q00"
+    assert err == ("error: net is not 1-bounded, witness marking"
+                   " {a place of 5000 characters:2, q00:1, q01:1, q02:1,"
+                   " q03:1, q15:2, and 25 more}\n")
+
+
 def test_a_name_with_inner_space_round_trips(tmp_path, capsys):
     net = tmp_path / "n.pnml"
     net.write_text(_pnml({"a b": 1, "q": 0}, {}), encoding="utf-8")

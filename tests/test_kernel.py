@@ -171,6 +171,15 @@ def _reference_from_reduced_matrix(tfg, reduced):
     return RootRelation(tfg, cells)
 
 
+def _relate(matrix, xs, ys):
+    """Set to 1 every cell (x, y) with bit x in `xs` and bit y in `ys`: the
+    removed method `ConcurrencyMatrix.relate`, the references' writer."""
+    for i in bits(xs | ys):
+        row = (ys if xs >> i & 1 else 0) | (xs if ys >> i & 1 else 0)
+        if new := row & ~matrix._ones[i]:
+            matrix._write(i, new, 1)
+
+
 def _reference_propagate_node(tfg, matrix, v, memo, stats=None):
     """The memoized flood from `v` that `_propagate_roots` replaced.
 
@@ -201,7 +210,7 @@ def _reference_propagate_node(tfg, matrix, v, memo, stats=None):
         for child in tfg.a_group_of.get(node, ()):
             succs |= memo[child]
         for target in tfg.r_targets_of.get(node, ()):
-            matrix.relate(succs, memo[target])
+            _relate(matrix, succs, memo[target])
             succs |= memo[target]
         memo[node] = succs
     return memo[v]
@@ -216,7 +225,7 @@ def _reference_propagate_roots(tfg, rel2, matrix, stats=None):
     for i, v in enumerate(live):
         for w in live[:i]:
             if rel2.cells.value(v, w) == 1:
-                matrix.relate(cones[v], cones[w])
+                _relate(matrix, cones[v], cones[w])
 
 
 def _reference_seed(tfg, rel2):

@@ -1,7 +1,8 @@
 """The bit-row matrix core against cell-by-cell references.
 
-Each row operation of `ConcurrencyMatrix` (`relate`, `full_rows`,
-`add_ones`, `add_zeros`, `restrict`, `copy`, `row_symbols`), the row movers
+Each row operation of `ConcurrencyMatrix` (`full_rows`, `add_ones`,
+`add_zeros`, `restrict`, `copy`, `row_symbols`), the block writer
+`_relate` of the kernel tests' references, the row movers
 `transpose` and `reorder` (and `permute`, the per-row mover `reorder`
 replaced) and each row-wise reader and writer
 (`compare_matrices`, `read_matrix`, `write_matrix`) is checked on seeded
@@ -18,6 +19,7 @@ from coplaces.errors import BadSymbol
 from coplaces.matrix import (UNDECIDED, ConcurrencyMatrix, MatrixDocument,
                              _encode_row_rle, bits, compare_matrices,
                              read_matrix, reorder, transpose, write_matrix)
+from test_kernel import _relate
 
 
 def _order(n):
@@ -74,7 +76,7 @@ def test_relate_matches_set_at_double_loop(seed):
         for start in starts:
             for xs, ys in _mask_pairs(rng, n):
                 fast, slow = start.copy(), start.copy()
-                fast.relate(xs, ys)
+                _relate(fast, xs, ys)
                 for x in range(n):
                     for y in range(n):
                         if xs >> x & 1 and ys >> y & 1:
@@ -253,7 +255,10 @@ def test_rows_stay_symmetric(seed):
                 matrix.set_at(rng.randrange(n), rng.randrange(n),
                               rng.choice((0, 1, UNDECIDED)))
             elif step == 1:
-                matrix.relate(rng.getrandbits(n), rng.getrandbits(n))
+                xs, ys = rng.getrandbits(n), rng.getrandbits(n)
+                matrix.add_ones([(ys if xs >> i & 1 else 0)
+                                 | (xs if ys >> i & 1 else 0)
+                                 for i in range(n)])
             elif step == 2:
                 matrix.add_ones(_symmetric_rows(rng, n, 0.1))
             else:
@@ -342,5 +347,5 @@ def test_restrict_and_copy_are_independent_of_the_source():
         for i in range(derived.size):
             for j in range(i + 1):
                 derived.set_at(i, j, (source.value_at(i, j) + 1) % 3)
-        derived.relate((1 << derived.size) - 1, (1 << derived.size) - 1)
+        derived.add_ones([(1 << derived.size) - 1] * derived.size)
         assert _cells(source) == before

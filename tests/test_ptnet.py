@@ -6,9 +6,11 @@ import pytest
 
 from coplaces.errors import NotEnabled, NotSafe, UnknownTransition
 from coplaces.formats import parse_net_text
-from coplaces.matrix import UNDECIDED
-from coplaces.ptnet import (PetriNet, explore_reachable, fire_transition,
+from coplaces.matrix import UNDECIDED, ConcurrencyMatrix
+from coplaces.ptnet import (DEFAULT_STATE_CAP, DEFAULT_TIME_BUDGET, PetriNet,
+                            explore_reachable, fire_transition,
                             independent_parts, oracle_matrix)
+from test_kernel import _relate
 
 
 def test_fire_moves_single_token(seq2):
@@ -201,6 +203,30 @@ def test_oracle_truncated_is_partial(seq2):
     assert C.value("a", "a") == 1              # witnessed
     assert C.value("b", "b") == UNDECIDED      # never seen
     assert C.value("a", "b") == UNDECIDED
+
+
+def _reference_oracle_matrix(net, m0, cap=DEFAULT_STATE_CAP,
+                             budget=DEFAULT_TIME_BUDGET):
+    """The oracle that wrote each marking's block through `relate`."""
+    result = explore_reachable(net, m0, cap=cap, budget=budget)
+    fill = UNDECIDED if result.truncated else 0
+    matrix = ConcurrencyMatrix(net.places, fill=fill)
+    for mask in result.masks:
+        _relate(matrix, mask, mask)
+    return matrix
+
+
+def test_oracle_fill_matches_the_relate_fill(safe_net_corpus, m1_doc):
+    docs = (safe_net_corpus(31, 300) + safe_net_corpus(32, 300)
+            + [m1_doc, parse_net_text(_CHOICES)])
+    for doc in docs:
+        full = len(explore_reachable(doc.net, doc.initial))
+        for cap in range(1, full + 1):
+            matrix = oracle_matrix(doc.net, doc.initial, cap=cap)
+            reference = _reference_oracle_matrix(doc.net, doc.initial, cap=cap)
+            assert matrix == reference
+            assert matrix.write_count == reference.write_count
+        assert matrix.complete
 
 
 def test_double_weight_transition_never_fires():
